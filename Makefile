@@ -4,13 +4,22 @@
 	bench-json bench-compare bench-large examples lint lint-fix typecheck \
 	import-graph
 
-# Compare the two newest BENCH_*.json snapshots (override with
-# BENCH_OLD=... BENCH_NEW=...); fails on >10% kernel regressions.
+# Compare the two newest full-suite BENCH_*.json snapshots (override
+# with BENCH_OLD=... BENCH_NEW=...); fails on >10% kernel regressions.
 # Adjacent snapshots share machine conditions, so the diff isolates the
 # latest change instead of cumulative day-to-day container drift.
-BENCH_ALL := $(sort $(wildcard BENCH_*.json))
-BENCH_NEW ?= $(lastword $(BENCH_ALL))
-BENCH_OLD ?= $(lastword $(filter-out $(BENCH_NEW),$(BENCH_ALL)))
+# Single-family snapshots (e.g. *_structure_build.json) sit between the
+# full ones, so each gate picks the newest snapshots that recorded its
+# benchmarks: $(call bench_with,NAME,EXCLUDED) is the newest snapshot
+# holding benchmark NAME, leaving out the files in EXCLUDED.
+bench_with = $(lastword $(filter-out $(2),$(sort $(shell grep -l '$(1)' BENCH_*.json))))
+BENCH_NEW ?= $(call bench_with,test_kernel_round_outgoing)
+BENCH_OLD ?= $(call bench_with,test_kernel_round_outgoing,$(BENCH_NEW))
+# The structure-build family against its own previous snapshot (itself
+# while only one has recorded it: the diff is then empty and the
+# --require/--speedup pins carry the gate).
+SB_NEW ?= $(call bench_with,test_kernel_structure_build)
+SB_OLD ?= $(or $(call bench_with,test_kernel_structure_build,$(SB_NEW)),$(SB_NEW))
 
 install:
 	pip install -e .
@@ -53,15 +62,17 @@ bench-json:
 
 # --require guards the gate's coverage: the newest snapshot must still
 # contain the core kernels, the per-policy kernels (default-policy
-# variants included) and the per-backend kernels or the comparison
-# fails outright.  --stat min because microsecond benches on shared
+# variants included), the per-backend kernels and the attack kernels
+# (and SB_NEW the structure build) or the comparison fails outright.  --stat min because microsecond benches on shared
 # machines have mean runtimes dominated by scheduler outliers; --only
 # kernel because the gate is a *kernel* regression gate (artifact
 # benches run once and can't clear a 10% bar on shared hardware).
-# --speedup pins two headlines in the same snapshot: batched trees on
-# the cext backend at least 3x faster than numpy, and the batched
+# --speedup pins three headlines in the same snapshot: batched trees on
+# the cext backend at least 3x faster than numpy, the batched
 # multi-origin attack kernel at least 3x faster than the per-pair
-# scalar reference (it measures ~50-100x; 3x is the do-not-regress bar).
+# scalar reference (it measures ~50-100x; 3x is the do-not-regress bar),
+# and (in SB_NEW) the all-destination structure build on cext at least
+# 5x faster than numpy on one thread.
 bench-compare:
 	python scripts/bench_compare.py $(BENCH_OLD) $(BENCH_NEW) \
 		--require kernel --require kernel_policy \
@@ -69,6 +80,10 @@ bench-compare:
 		--stat min --only kernel \
 		--speedup "kernel_backend_trees[cext]:kernel_backend_trees[numpy]:3.0" \
 		--speedup "kernel_attack_batched[origin_hijack-numpy]:kernel_attack_scalar:3.0"
+	python scripts/bench_compare.py $(SB_OLD) $(SB_NEW) \
+		--require kernel_structure_build \
+		--stat min --only kernel_structure_build \
+		--speedup "kernel_structure_build[cext-1]:kernel_structure_build[numpy-1]:5.0"
 
 bench-large:
 	REPRO_BENCH_N=2000 pytest benchmarks/ --benchmark-only

@@ -1,7 +1,8 @@
 """Fork/thread-safety analysis (RPR016).
 
-``ProcessEngine.map`` forks (or spawns) workers and the service
-scheduler runs jobs on threads; any function reachable from those entry
+``ProcessEngine.map`` forks (or spawns) workers, the service
+scheduler runs jobs on threads and the compiled structure build runs
+kernel chunks on a thread pool; any function reachable from those entry
 points may execute concurrently with the parent and with its siblings.
 A write to module-level mutable state inside that set is either a bug
 (lost updates, cross-fork divergence) or a deliberate per-process cache
@@ -10,7 +11,8 @@ that deserves an explicit waiver naming why it is safe.
 The analysis is a conservative static approximation:
 
 * **entry points** — the first argument of any ``.map(...)`` /
-  ``.map_reduce(...)`` attribute call that resolves to a project
+  ``.map_reduce(...)`` / ``.submit(...)`` (executor) attribute call
+  that resolves to a project
   function, and any ``target=`` / ``func=`` / ``fn=`` keyword on a
   ``Thread`` / ``Process`` constructor call that resolves to one;
 * **call graph** — edges resolve through import aliases to module
@@ -37,7 +39,7 @@ from collections import deque
 from repro.analysis.program.index import FunctionInfo, ProgramIndex
 
 #: Attribute names whose calls dispatch work onto pool workers.
-_MAP_ATTRS = frozenset({"map", "map_reduce"})
+_MAP_ATTRS = frozenset({"map", "map_reduce", "submit"})
 
 #: Constructor tails that take a ``target=`` worker callable.
 _THREAD_CTORS = ("Thread", "Process", "Timer")

@@ -204,6 +204,7 @@ def _project_flip_state_dependent(
             cache.compiled,
             node_secure=node_secure_new,
             breaks_ties=breaks_new,
+            backend=cache.backend_name,
         )
         for pos, dr_new in zip(positions, routings):
             tree = compute_tree(dr_new, node_secure_new, breaks_new)
@@ -521,6 +522,7 @@ def per_destination_turn_off_gains(
             cache.compiled,
             node_secure=node_secure_new,
             breaks_ties=breaks_new,
+            backend=cache.backend_name,
         )
         for pos, dr_new in zip(candidates, routings):
             tree = compute_tree(dr_new, node_secure_new, breaks_new)

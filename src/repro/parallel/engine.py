@@ -698,11 +698,21 @@ def parallel_warm_cache(cache, workers: int = 1, transport: str = "auto") -> Non
     Either way a partition whose segment cannot be attached (or whose
     worker could not create one) falls back to the pickle path — warm
     never fails because shared memory did.
+
+    A cache on a compiled backend whose policy has the three-pass
+    structure (:attr:`~repro.routing.cache.RoutingCache.compiled_warm`)
+    skips the processes: its kernel releases the GIL, so
+    :meth:`~repro.routing.cache.RoutingCache.warm` runs the chunks on
+    ``workers`` threads of this process and joins them before
+    returning, ahead of any later fork.  ``transport`` does not apply.
     """
     if transport not in ("auto", "shm", "pickle"):
         raise ValueError(f"transport must be 'auto', 'shm' or 'pickle', got {transport!r}")
     todo = cache.pending_destinations()
     if not todo:
+        return
+    if cache.compiled_warm:
+        cache.warm(workers=workers)
         return
     guard = current_guard()
     engine = default_engine(workers)

@@ -33,6 +33,13 @@ level below their row's node, so interleaving destinations within a
 level is safe — each destination still sees its own already-resolved
 previous level.
 
+:class:`StructureBuild` fills an arena without per-destination
+objects: the backend's ``structure_build`` kernel writes each chunk of
+destinations' rows of the dense matrices in place and fills that
+chunk's pools, and a finished build is adopted as the arena.  On a
+compiled backend the chunks run on threads (the kernel releases the
+GIL).
+
 Because every pool is a flat typed buffer, the arena also serialises to
 a single byte blob (:meth:`RoutingArena.to_blocks` /
 :meth:`RoutingArena.from_buffer`), which is what the shared-memory data
@@ -42,14 +49,19 @@ plane in :mod:`repro.parallel.shm` ships between processes.
 from __future__ import annotations
 
 import dataclasses
+from collections import deque
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.routing import backends as kernel_backends
-from repro.routing.compiled import gather_neighbors
+from repro.routing.compiled import CompiledGraph, gather_neighbors
 from repro.routing.fast_tree import RoutingTree
 from repro.routing.tree import DestRouting, compute_tie_keys
 from repro.telemetry.metrics import get_registry
+
+if TYPE_CHECKING:  # pragma: no cover - imported where threads are used
+    from concurrent.futures import Future
 
 #: (field name, dtype) of every pooled array, in serialisation order.
 #: ``*_ptr`` tables have length ``num_dests + 1``; matrices are
@@ -212,7 +224,7 @@ class RoutingArena:
                 else compute_tie_keys(r.order, r.indptr, r.cands)
             )
 
-        arena = cls(
+        return _registered(cls(
             graph_n,
             {
                 "dest_ids": np.asarray(dest_ids, dtype=np.int32),
@@ -232,11 +244,7 @@ class RoutingArena:
             policy=policy,
             state_key=state_key,
             backend=backend,
-        )
-        registry = get_registry()
-        registry.counter("routing.arena.builds").inc()
-        registry.gauge("routing.arena.bytes").set(arena.nbytes)
-        return arena
+        ))
 
     # -- basic accessors -----------------------------------------------
 
@@ -446,6 +454,224 @@ class RoutingArena:
     def all_slots(self) -> np.ndarray:
         """``arange(num_dests)`` — the full-batch slot vector."""
         return self._full_slots
+
+
+def _registered(arena: RoutingArena) -> RoutingArena:
+    registry = get_registry()
+    registry.counter("routing.arena.builds").inc()
+    registry.gauge("routing.arena.bytes").set(arena.nbytes)
+    return arena
+
+
+#: destinations per ``structure_build`` kernel call: the serial warm's
+#: deadline-check stride, and small enough that a few hundred
+#: destinations still spread over two threads
+STRUCTURE_CHUNK = 64
+
+
+@dataclasses.dataclass
+class _ChunkPools:
+    """One kernel call's flat pools, filled from the front."""
+
+    order: np.ndarray   # int32
+    levels: np.ndarray  # int32
+    indptr: np.ndarray  # int64
+    cands: np.ndarray   # int32
+    keys: np.ndarray    # uint64
+    #: int32[3n + 2] kernel working space, dropped once the call returns
+    scratch: np.ndarray | None
+
+
+class StructureBuild:
+    """The batched ``structure_build`` kernel over one destination list.
+
+    The dense ``[num_dests, n]`` class / length / row matrices are
+    allocated once; each kernel call writes one chunk's rows of them in
+    place and fills that chunk's pools.  :meth:`run` drives the chunks,
+    on a thread pool when asked (the compiled kernels release the GIL);
+    :meth:`arena` packs a finished build into a :class:`RoutingArena`
+    that adopts the matrices as they are, and :meth:`views` hands out
+    per-destination structures of whatever chunks finished.
+    """
+
+    def __init__(
+        self,
+        compiled: CompiledGraph,
+        dest_ids,
+        backend: str = "numpy",
+    ):
+        self.compiled = compiled
+        self.backend, self._kernels = kernel_backends.kernels_for(backend)
+        self.dest_ids = np.asarray(dest_ids, dtype=np.int32)
+        num, n = len(self.dest_ids), compiled.n
+        self.cls = np.empty((num, n), dtype=np.int8)
+        self.lengths = np.empty((num, n), dtype=np.int32)
+        self.row_of = np.empty((num, n), dtype=np.int32)
+        #: per destination: (reachable rows, level starts, candidates)
+        self.counts = np.zeros((num, 3), dtype=np.int64)
+        self.chunks = [
+            (lo, min(lo + STRUCTURE_CHUNK, num))
+            for lo in range(0, num, STRUCTURE_CHUNK)
+        ]
+        #: finished chunk start -> its pools
+        self.done: dict[int, _ChunkPools] = {}
+        self._per_dest = kernel_backends.structure_capacity(
+            1, n, compiled.cust_indptr, compiled.peer_indptr, compiled.prov_indptr
+        )
+
+    @property
+    def complete(self) -> bool:
+        """True once every chunk has been built."""
+        return len(self.done) == len(self.chunks)
+
+    def num_built(self) -> int:
+        """Destinations in finished chunks."""
+        return sum(hi - lo for lo, hi in self.chunks if lo in self.done)
+
+    def _allocate(self, lo: int, hi: int) -> _ChunkPools:
+        """Pools for slots ``[lo, hi)``, sized so no destination overflows.
+
+        Called on the dispatching thread: buffers malloc'd on a pool
+        thread come from a per-thread heap that stays resident after
+        the build.
+        """
+        order_cap, level_cap, indptr_cap, cand_cap = (
+            (hi - lo) * cap for cap in self._per_dest
+        )
+        return _ChunkPools(
+            order=np.empty(order_cap, dtype=np.int32),
+            levels=np.empty(level_cap, dtype=np.int32),
+            indptr=np.empty(indptr_cap, dtype=np.int64),
+            cands=np.empty(cand_cap, dtype=np.int32),
+            keys=np.empty(cand_cap, dtype=np.uint64),
+            scratch=np.empty(3 * self.compiled.n + 2, dtype=np.int32),
+        )
+
+    def build_chunk(self, lo: int, hi: int, pools: _ChunkPools) -> _ChunkPools:
+        """One kernel call for slots ``[lo, hi)`` into ``pools``.
+
+        Touches only those rows of the shared matrices, so disjoint
+        chunks may run on concurrent threads.
+        """
+        cg = self.compiled
+        self._kernels.structure_build(
+            self.dest_ids[lo:hi],
+            cg.cust_indptr, cg.cust_idx,
+            cg.peer_indptr, cg.peer_idx,
+            cg.prov_indptr, cg.prov_idx,
+            self.cls[lo:hi], self.lengths[lo:hi], self.row_of[lo:hi],
+            pools.order, pools.levels, pools.indptr, pools.cands, pools.keys,
+            self.counts[lo:hi], pools.scratch,
+        )
+        pools.scratch = None
+        return pools
+
+    def run(self, workers: int = 1, check: Callable[[], None] | None = None) -> None:
+        """Build every unfinished chunk, ``workers`` at a time.
+
+        ``check`` runs in this thread before each chunk is dispatched.
+        If it raises (an expired deadline), dispatch stops, the chunks
+        in flight finish, and the exception propagates with every
+        finished chunk recorded in :attr:`done`.
+        """
+        todo = [(lo, hi) for lo, hi in self.chunks if lo not in self.done]
+        if workers <= 1 or len(todo) <= 1:
+            for lo, hi in todo:
+                if check is not None:
+                    check()
+                self.done[lo] = self.build_chunk(lo, hi, self._allocate(lo, hi))
+            return
+        from concurrent.futures import ThreadPoolExecutor
+
+        # Leaving the with-block joins the threads, so none outlives the
+        # build into a later fork (the round loop forks projection workers).
+        with ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix="structure-build"
+        ) as pool:
+            inflight: deque[tuple[int, Future[_ChunkPools]]] = deque()
+            try:
+                for lo, hi in todo:
+                    if len(inflight) >= workers:
+                        self._collect(*inflight.popleft())
+                    if check is not None:
+                        check()
+                    inflight.append((lo, pool.submit(
+                        self.build_chunk, lo, hi, self._allocate(lo, hi)
+                    )))
+            finally:
+                while inflight:
+                    self._collect(*inflight.popleft())
+
+    def _collect(self, lo: int, future: Future[_ChunkPools]) -> None:
+        self.done[lo] = future.result()
+
+    def _ptrs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Offset tables of the order / level / indptr / cands pools."""
+        reach, levels, nnz = self.counts.T
+        ptrs = np.zeros((4, len(self.dest_ids) + 1), dtype=np.int64)
+        np.cumsum([reach, levels, reach + 1, nnz], axis=1, out=ptrs[:, 1:])
+        return ptrs[0], ptrs[1], ptrs[2], ptrs[3]
+
+    def arena(self, policy: str = "security_3rd") -> RoutingArena:
+        """Pack a complete build: the matrices as they are, pools joined."""
+        if not self.complete:
+            raise RuntimeError("structure build is not complete")
+        order_ptr, level_ptr, indptr_ptr, cand_ptr = self._ptrs()
+
+        def pool(field: str, ptr: np.ndarray, dtype) -> np.ndarray:
+            parts = [
+                getattr(self.done[lo], field)[:ptr[hi] - ptr[lo]]
+                for lo, hi in self.chunks
+            ]
+            return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+
+        return _registered(RoutingArena(
+            self.compiled.n,
+            {
+                "dest_ids": self.dest_ids,
+                "cls": self.cls,
+                "lengths": self.lengths,
+                "row_of": self.row_of,
+                "order_ptr": order_ptr,
+                "order_pool": pool("order", order_ptr, np.int32),
+                "level_ptr": level_ptr,
+                "level_pool": pool("levels", level_ptr, np.int32),
+                "indptr_ptr": indptr_ptr,
+                "indptr_pool": pool("indptr", indptr_ptr, np.int64),
+                "cand_ptr": cand_ptr,
+                "cands_pool": pool("cands", cand_ptr, np.int32),
+                "keys_pool": pool("keys", cand_ptr, np.uint64),
+            },
+            policy=policy,
+            backend=self.backend,
+        ))
+
+    def views(self) -> list[DestRouting]:
+        """Zero-copy structures of every finished chunk, in slot order."""
+        order_ptr, level_ptr, indptr_ptr, cand_ptr = self._ptrs()
+        out: list[DestRouting] = []
+        for lo, hi in self.chunks:
+            part = self.done.get(lo)
+            if part is None:
+                continue
+            for k in range(lo, hi):
+                o = order_ptr[k] - order_ptr[lo]
+                lv = level_ptr[k] - level_ptr[lo]
+                i = indptr_ptr[k] - indptr_ptr[lo]
+                c = cand_ptr[k] - cand_ptr[lo]
+                reach, levels, nnz = self.counts[k]
+                out.append(DestRouting(
+                    dest=int(self.dest_ids[k]),
+                    cls=self.cls[k],
+                    lengths=self.lengths[k],
+                    order=part.order[o:o + reach],
+                    row_of=self.row_of[k],
+                    level_starts=part.levels[lv:lv + levels],
+                    indptr=part.indptr[i:i + reach + 1],
+                    cands=part.cands[c:c + nnz],
+                    _tie_keys=part.keys[c:c + nnz],
+                ))
+        return out
 
 
 def compute_trees_batched(

@@ -1,14 +1,17 @@
 """Kernel backend registry: one namespace, several implementations.
 
-The four hot kernels — the batched tree resolver, the batched subtree
-weights, the synchronous-Jacobi fixpoint sweep, and its multi-origin
-attack variant — exist in multiple implementations ("backends") behind
-this registry:
+The five hot kernels — the per-destination structure build (three
+passes plus the tiebreak CSR, one chunk of destinations per call), the
+batched tree resolver, the batched subtree weights, the
+synchronous-Jacobi fixpoint sweep, and its multi-origin attack variant —
+exist in multiple implementations ("backends") behind this registry:
 
 - ``numpy``: the original vectorised code, moved verbatim into
-  :mod:`repro.routing.backends.numpy_impl`.  It is the **differential
-  ground truth**: every other backend must produce bit-identical
-  outputs (asserted by ``tests/routing/test_backends.py``).
+  :mod:`repro.routing.backends.numpy_impl` (its structure build loops
+  over :func:`~repro.routing.tree.compute_dest_routing`).  It is the
+  **differential ground truth**: every other backend must produce
+  bit-identical outputs (asserted by ``tests/routing/test_backends.py``
+  and ``tests/routing/test_structure_build.py``).
 - ``numba``: ``@njit``-compiled level loops over the arena's flat CSR
   pools (:mod:`repro.routing.backends.numba_impl`).  Numba is an
   *optional* dependency (the ``compiled`` extra); the module is only
@@ -48,6 +51,8 @@ import threading
 import time
 from typing import Any
 
+import numpy as np
+
 from repro.routing.errors import BackendUnavailable
 from repro.runtime.guard import current_guard
 from repro.telemetry.metrics import get_registry
@@ -68,6 +73,7 @@ __all__ = [
     "probe",
     "register_backend",
     "resolve_backend",
+    "structure_capacity",
     "usable_backends",
 ]
 
@@ -94,7 +100,9 @@ class KernelBackend:
     ``needs_cc`` marks backends that additionally want a C compiler on
     PATH.  ``hidden`` keeps test-only backends out of user-facing
     listings (CLI choices, ``/healthz``) while leaving them resolvable
-    by exact name.
+    by exact name.  ``structure_warm`` lets the routing cache's warm run
+    this tier's ``structure_build`` kernel (set only where that kernel
+    has been parity-checked against numpy).
     """
 
     name: str
@@ -104,6 +112,7 @@ class KernelBackend:
     requires: tuple[str, ...] = ()
     needs_cc: bool = False
     hidden: bool = False
+    structure_warm: bool = False
 
 
 _REGISTRY: dict[str, KernelBackend] = {}
@@ -192,12 +201,11 @@ def backend_status() -> dict[str, str]:
 def load_backend(name: str) -> Any:
     """Import (and for compiled tiers, compile + warm) backend ``name``.
 
-    Returns the implementation module exposing ``trees_level``,
-    ``weights_level``, ``fixpoint_sweep`` and ``attack_sweep``.  Load
-    results are cached
-    both ways: a success is never re-imported, a failure is never
-    retried within the process (compilation attempts are expensive and
-    deterministic).
+    Returns the implementation module exposing ``structure_build``,
+    ``trees_level``, ``weights_level``, ``fixpoint_sweep`` and
+    ``attack_sweep``.  Load results are cached both ways: a success is
+    never re-imported, a failure is never retried within the process
+    (compilation attempts are expensive and deterministic).
     """
     impl = _IMPLS.get(name)
     if impl is not None:
@@ -289,6 +297,33 @@ def resolve_backend(name: str | None = None) -> str:
     return backend.name
 
 
+def structure_capacity(
+    num_dests: int,
+    n: int,
+    cust_indptr: np.ndarray,
+    peer_indptr: np.ndarray,
+    prov_indptr: np.ndarray,
+) -> tuple[int, int, int, int]:
+    """Pool sizes that always hold a ``structure_build`` chunk.
+
+    ``(order, levels, indptr, cands)`` for ``num_dests`` destinations:
+    at most ``n`` reachable rows, ``n + 1`` level starts and ``n + 1``
+    row offsets each, and at most one candidate per entry of each node's
+    longest adjacency list (a node's tiebreak set comes from the single
+    list its route class allows).  ``keys`` is sized like ``cands``.
+    """
+    per_node = np.maximum(
+        np.maximum(np.diff(cust_indptr), np.diff(peer_indptr)),
+        np.diff(prov_indptr),
+    )
+    return (
+        num_dests * n,
+        num_dests * (n + 1),
+        num_dests * (n + 1),
+        num_dests * int(per_node.sum()),
+    )
+
+
 def kernels_for(name: str) -> tuple[str, Any]:
     """``(resolved name, impl module)`` for a kernel call site.
 
@@ -333,6 +368,7 @@ register_backend(
         module="repro.routing.backends.cext_impl",
         compiled=True,
         needs_cc=True,
+        structure_warm=True,
     )
 )
 register_backend(

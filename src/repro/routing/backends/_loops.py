@@ -16,10 +16,20 @@ Calling convention (all backends):
   ``choice`` int32, ``sizes``/``starts``/``row_of_edge`` int64,
   ``keys``/``tie_key`` uint64, masks bool, weights float64, fixpoint
   labels int8/int32/bool, rank metadata int64 codes + uint32 widths;
+  the structure build takes int64 ``*_indptr`` / int32 ``*_idx``
+  adjacency CSRs, int32 ``dests``/``order``/``levels``/``scratch``,
+  int64 ``indptr``/``counts``, and pools sized by
+  :func:`~repro.routing.backends.structure_capacity`;
 - 2-D arrays are C-contiguous ``[batch, n]`` matrices.
 
 Bit-identity with the numpy backend is structural, not accidental:
 
+- the structure build runs the three passes of
+  :func:`~repro.routing.tree.route_classes_and_lengths` as queue loops
+  (BFS distances and bucketed relaxation by length are order-free), then
+  counting-sorts nodes by ``(length, id)`` and insertion-sorts each
+  tiebreak row ascending — the orders the numpy builder's stable sorts
+  produce;
 - tree levels select a per-node *minimum* key — order-independent, and
   candidates live one level below their node, so per-node loops see the
   same already-resolved state the whole-level gather sees;
@@ -41,21 +51,235 @@ from repro.routing.policy import POSITION_BITS, RouteClass
 
 _BLOCKED = np.uint64(2**64 - 1)
 _POS_MASK = np.uint64(0xFFFF)       # (1 << POSITION_BITS) - 1
+_HASH_MASK = np.uint64(0xFFFFFFFFFFFF0000)  # ~_POS_MASK
 _INVALID_A = np.uint32(0xFFFFFFFF)
+
+# splitmix64 multipliers of repro.routing.policy.tie_hash_array
+_MIX_1 = np.uint64(0x9E3779B97F4A7C15)
+_MIX_2 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_3 = np.uint64(0x94D049BB133111EB)
 
 # The loop bodies inline these as literals (numba freezes globals at
 # compile time; the C code hardcodes them), so pin them to the enum.
 _SELF = 3          # RouteClass.SELF
 _CUSTOMER = 2      # RouteClass.CUSTOMER
+_PEER = 1          # RouteClass.PEER
+_PROVIDER = 0      # RouteClass.PROVIDER
 _UNREACHABLE = -1  # RouteClass.UNREACHABLE
 
-if (_SELF, _CUSTOMER, _UNREACHABLE) != (
-    int(RouteClass.SELF), int(RouteClass.CUSTOMER), int(RouteClass.UNREACHABLE)
+if (_SELF, _CUSTOMER, _PEER, _PROVIDER, _UNREACHABLE) != (
+    int(RouteClass.SELF), int(RouteClass.CUSTOMER), int(RouteClass.PEER),
+    int(RouteClass.PROVIDER), int(RouteClass.UNREACHABLE)
 ) or int(_POS_MASK) != (1 << POSITION_BITS) - 1:  # pragma: no cover
     raise AssertionError(
         "compiled-kernel constants drifted from repro.routing.policy; "
         "update _loops.py and the C source in cext_impl.py together"
     )
+
+
+def structure_build(dests, cust_indptr, cust_idx, peer_indptr, peer_idx,
+                    prov_indptr, prov_idx, cls, lengths, row_of,
+                    order, levels, indptr, cands, keys, counts, scratch):
+    """Build the routing structures of a chunk of destinations.
+
+    Row ``b`` of ``cls``/``lengths``/``row_of`` receives destination
+    ``dests[b]``'s dense arrays; its ``order``, level starts, tiebreak
+    ``indptr`` (starting at 0), ``cands`` and tie ``keys`` are appended
+    to the flat pools right after destination ``b - 1``'s, and
+    ``counts[b]`` records their sizes: ``(reachable, levels, cands)``.
+    ``scratch`` is int32[3n + 2] working space.
+    """
+    n = cls.shape[1]
+    queue = scratch[0:n]
+    fifo = scratch[n:2 * n]
+    cursor = scratch[2 * n:3 * n + 2]
+    o_off = 0
+    l_off = 0
+    i_off = 0
+    c_off = 0
+    for b in range(dests.shape[0]):
+        dest = dests[b]
+        cls_b = cls[b]
+        len_b = lengths[b]
+        row_b = row_of[b]
+        for i in range(n):
+            cls_b[i] = _UNREACHABLE
+            len_b[i] = -1
+            row_b[i] = -1
+        cls_b[dest] = _SELF
+        len_b[dest] = 0
+
+        # Pass 1: customer routes -- BFS from dest along provider edges.
+        head = 0
+        tail = 1
+        queue[0] = dest
+        while head < tail:
+            u = queue[head]
+            head += 1
+            for e in range(prov_indptr[u], prov_indptr[u + 1]):
+                p = prov_idx[e]
+                if len_b[p] == -1:
+                    len_b[p] = len_b[u] + 1
+                    cls_b[p] = _CUSTOMER
+                    queue[tail] = p
+                    tail += 1
+
+        # Pass 2: peer routes -- one peer hop onto a customer route.
+        for i in range(n):
+            if cls_b[i] != _UNREACHABLE:
+                continue
+            best = -1
+            for e in range(peer_indptr[i], peer_indptr[i + 1]):
+                p = peer_idx[e]
+                if cls_b[p] == _CUSTOMER or cls_b[p] == _SELF:
+                    if best == -1 or len_b[p] + 1 < best:
+                        best = len_b[p] + 1
+            if best != -1:
+                len_b[i] = best
+                cls_b[i] = _PEER
+
+        # Pass 3: provider routes, relaxed in order of selected length:
+        # the reached nodes counting-sorted by length, merged with the
+        # FIFO of provider routes found (whose lengths never decrease).
+        max_len = 0
+        for i in range(n):
+            if len_b[i] > max_len:
+                max_len = len_b[i]
+        for k in range(max_len + 2):
+            cursor[k] = 0
+        for i in range(n):
+            if len_b[i] >= 0:
+                cursor[len_b[i] + 1] += 1
+        for k in range(max_len + 1):
+            cursor[k + 1] += cursor[k]
+        num_init = cursor[max_len + 1]
+        for i in range(n):
+            if len_b[i] >= 0:
+                queue[cursor[len_b[i]]] = i
+                cursor[len_b[i]] += 1
+        head = 0
+        f_head = 0
+        f_tail = 0
+        while head < num_init or f_head < f_tail:
+            if f_head < f_tail and (
+                head >= num_init or len_b[fifo[f_head]] < len_b[queue[head]]
+            ):
+                u = fifo[f_head]
+                f_head += 1
+            else:
+                u = queue[head]
+                head += 1
+            for e in range(cust_indptr[u], cust_indptr[u + 1]):
+                c = cust_idx[e]
+                if cls_b[c] == _UNREACHABLE:
+                    cls_b[c] = _PROVIDER
+                    len_b[c] = len_b[u] + 1
+                    fifo[f_tail] = c
+                    f_tail += 1
+
+        # Rows by (length, id): level starts are the exclusive prefix
+        # sums of the length histogram; a stable placement by id fills
+        # each level in ascending order.
+        max_len = 0
+        for i in range(n):
+            if len_b[i] > max_len:
+                max_len = len_b[i]
+        num_levels = max_len + 2
+        for k in range(num_levels):
+            levels[l_off + k] = 0
+        for i in range(n):
+            if len_b[i] >= 0:
+                levels[l_off + len_b[i] + 1] += 1
+        for k in range(num_levels - 1):
+            levels[l_off + k + 1] += levels[l_off + k]
+        num_reach = levels[l_off + max_len + 1]
+        for k in range(max_len + 1):
+            cursor[k] = levels[l_off + k]
+        for i in range(n):
+            if len_b[i] >= 0:
+                r = cursor[len_b[i]]
+                cursor[len_b[i]] += 1
+                order[o_off + r] = i
+                row_b[i] = r
+
+        # Tiebreak sets: next hops one hop shorter that export to the
+        # row's node under GR2, from the one adjacency list its route
+        # class allows, kept ascending by insertion.
+        nnz = 0
+        indptr[i_off] = 0
+        for r in range(num_reach):
+            u = order[o_off + r]
+            cu = cls_b[u]
+            want = len_b[u] - 1
+            start = nnz
+            if cu == _CUSTOMER:
+                adj_lo = cust_indptr[u]
+                adj_hi = cust_indptr[u + 1]
+            elif cu == _PEER:
+                adj_lo = peer_indptr[u]
+                adj_hi = peer_indptr[u + 1]
+            elif cu == _PROVIDER:
+                adj_lo = prov_indptr[u]
+                adj_hi = prov_indptr[u + 1]
+            else:
+                adj_lo = 0
+                adj_hi = 0
+            for e in range(adj_lo, adj_hi):
+                if cu == _CUSTOMER:
+                    d = cust_idx[e]
+                elif cu == _PEER:
+                    d = peer_idx[e]
+                else:
+                    d = prov_idx[e]
+                if len_b[d] != want:
+                    continue
+                cd = cls_b[d]
+                if cu == _PROVIDER:
+                    ok = cd != _UNREACHABLE
+                else:
+                    ok = cd == _CUSTOMER or cd == _SELF
+                if not ok:
+                    continue
+                j = c_off + nnz
+                while j > c_off + start and cands[j - 1] > d:
+                    cands[j] = cands[j - 1]
+                    j -= 1
+                cands[j] = d
+                nnz += 1
+            indptr[i_off + r + 1] = nnz
+        _tie_keys_block(order, indptr, cands, keys, o_off, i_off, c_off,
+                        num_reach, nnz)
+
+        counts[b, 0] = num_reach
+        counts[b, 1] = num_levels
+        counts[b, 2] = nnz
+        o_off += num_reach
+        l_off += num_levels
+        i_off += num_reach + 1
+        c_off += nnz
+
+
+def _tie_keys_block(order, indptr, cands, keys, o_off, i_off, c_off,
+                    num_reach, nnz):
+    """Tie keys of one destination: splitmix hash high bits | position.
+
+    Whole-array uint64 arithmetic, which wraps silently (numpy warns on
+    overflowing *scalar* products, and the C code relies on wrapping).
+    """
+    src = np.empty(nnz, dtype=np.uint64)
+    rel = np.empty(nnz, dtype=np.uint64)
+    for r in range(num_reach):
+        lo = indptr[i_off + r]
+        for e in range(lo, indptr[i_off + r + 1]):
+            src[e] = order[o_off + r]
+            rel[e] = e - lo
+    x = src * _MIX_1 + cands[c_off:c_off + nnz].astype(np.uint64) * _MIX_3
+    x ^= x >> np.uint64(30)
+    x *= _MIX_2
+    x ^= x >> np.uint64(27)
+    x *= _MIX_3
+    x ^= x >> np.uint64(31)
+    keys[c_off:c_off + nnz] = (x & _HASH_MASK) | rel
 
 
 def trees_level(nodes, sizes, starts, row_of_edge, cands, keys, node_b,

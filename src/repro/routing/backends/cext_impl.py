@@ -13,7 +13,7 @@ Import errors — no compiler, compile failure, dlopen failure — raise
 that into a counted ``compiled_to_numpy`` degradation, never a crash.
 
 Why ctypes and not a real extension module: the kernels take flat typed
-buffers and return nothing, so the FFI surface is six pointer-and-
+buffers and return nothing, so the FFI surface is five pointer-and-
 stride signatures — not worth a build system.  The Python-side wrappers
 enforce dtype and contiguity *loudly* (a silent mismatch would corrupt
 memory), which the parity suite exercises.
@@ -31,16 +31,18 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.routing.backends import BackendUnavailable
+from repro.routing.backends import BackendUnavailable, structure_capacity
 from repro.routing.policy import POSITION_BITS, RouteClass
 from repro.runtime.atomic import atomic_write_text
 
 if (
     int(RouteClass.SELF),
     int(RouteClass.CUSTOMER),
+    int(RouteClass.PEER),
+    int(RouteClass.PROVIDER),
     int(RouteClass.UNREACHABLE),
     POSITION_BITS,
-) != (3, 2, -1, 16):  # pragma: no cover
+) != (3, 2, 1, 0, -1, 16):  # pragma: no cover
     raise AssertionError(
         "the C kernels hardcode RouteClass/POSITION_BITS values that "
         "drifted; update _C_SOURCE together with repro.routing.policy"
@@ -51,9 +53,206 @@ _C_SOURCE = r"""
 
 /* Constants mirrored from repro.routing: POSITION_BITS=16 (tie-key low
  * bits hold the candidate's position in its segment), RouteClass
- * CUSTOMER=2 / SELF=3 / UNREACHABLE=-1. */
+ * PROVIDER=0 / PEER=1 / CUSTOMER=2 / SELF=3 / UNREACHABLE=-1, and the
+ * splitmix64 multipliers of tie_hash_array. */
 #define POS_MASK 0xFFFFu
 #define INVALID_KEY 0xFFFFFFFFu
+#define MIX_1 0x9E3779B97F4A7C15ull
+#define MIX_2 0xBF58476D1CE4E5B9ull
+#define MIX_3 0x94D049BB133111EBull
+
+static inline uint64_t sbgp_tie_key(uint64_t u, uint64_t c, uint64_t rel)
+{
+    uint64_t x = u * MIX_1 + c * MIX_3;
+    x ^= x >> 30;
+    x *= MIX_2;
+    x ^= x >> 27;
+    x *= MIX_3;
+    x ^= x >> 31;
+    return (x & ~(uint64_t)POS_MASK) | rel;
+}
+
+void sbgp_structure_build(
+    int64_t num_dests, int64_t n, const int32_t *dests,
+    const int64_t *cust_indptr, const int32_t *cust_idx,
+    const int64_t *peer_indptr, const int32_t *peer_idx,
+    const int64_t *prov_indptr, const int32_t *prov_idx,
+    int8_t *cls, int32_t *lengths, int32_t *row_of,
+    int32_t *order, int32_t *levels, int64_t *indptr,
+    int32_t *cands, uint64_t *keys, int64_t *counts, int32_t *scratch)
+{
+    int32_t *queue = scratch;
+    int32_t *fifo = scratch + n;
+    int32_t *cursor = scratch + 2 * n;
+    int64_t o_off = 0, l_off = 0, i_off = 0, c_off = 0;
+    for (int64_t b = 0; b < num_dests; b++) {
+        int64_t dest = dests[b];
+        int8_t *cls_b = cls + b * n;
+        int32_t *len_b = lengths + b * n;
+        int32_t *row_b = row_of + b * n;
+        for (int64_t i = 0; i < n; i++) {
+            cls_b[i] = -1;
+            len_b[i] = -1;
+            row_b[i] = -1;
+        }
+        cls_b[dest] = 3;
+        len_b[dest] = 0;
+
+        /* Pass 1: customer routes -- BFS from dest along provider edges. */
+        int64_t head = 0, tail = 1;
+        queue[0] = (int32_t)dest;
+        while (head < tail) {
+            int32_t u = queue[head++];
+            for (int64_t e = prov_indptr[u]; e < prov_indptr[u + 1]; e++) {
+                int32_t p = prov_idx[e];
+                if (len_b[p] == -1) {
+                    len_b[p] = len_b[u] + 1;
+                    cls_b[p] = 2;
+                    queue[tail++] = p;
+                }
+            }
+        }
+
+        /* Pass 2: peer routes -- one peer hop onto a customer route. */
+        for (int64_t i = 0; i < n; i++) {
+            if (cls_b[i] != -1)
+                continue;
+            int32_t best = -1;
+            for (int64_t e = peer_indptr[i]; e < peer_indptr[i + 1]; e++) {
+                int32_t p = peer_idx[e];
+                if (cls_b[p] == 2 || cls_b[p] == 3) {
+                    if (best == -1 || len_b[p] + 1 < best)
+                        best = len_b[p] + 1;
+                }
+            }
+            if (best != -1) {
+                len_b[i] = best;
+                cls_b[i] = 1;
+            }
+        }
+
+        /* Pass 3: provider routes, relaxed in order of selected length:
+         * the reached nodes counting-sorted by length, merged with the
+         * FIFO of provider routes found (whose lengths never decrease). */
+        int32_t max_len = 0;
+        for (int64_t i = 0; i < n; i++)
+            if (len_b[i] > max_len)
+                max_len = len_b[i];
+        for (int32_t k = 0; k < max_len + 2; k++)
+            cursor[k] = 0;
+        for (int64_t i = 0; i < n; i++)
+            if (len_b[i] >= 0)
+                cursor[len_b[i] + 1]++;
+        for (int32_t k = 0; k < max_len + 1; k++)
+            cursor[k + 1] += cursor[k];
+        int64_t num_init = cursor[max_len + 1];
+        for (int64_t i = 0; i < n; i++)
+            if (len_b[i] >= 0)
+                queue[cursor[len_b[i]]++] = (int32_t)i;
+        head = 0;
+        int64_t f_head = 0, f_tail = 0;
+        while (head < num_init || f_head < f_tail) {
+            int32_t u;
+            if (f_head < f_tail &&
+                (head >= num_init || len_b[fifo[f_head]] < len_b[queue[head]]))
+                u = fifo[f_head++];
+            else
+                u = queue[head++];
+            for (int64_t e = cust_indptr[u]; e < cust_indptr[u + 1]; e++) {
+                int32_t c = cust_idx[e];
+                if (cls_b[c] == -1) {
+                    cls_b[c] = 0;
+                    len_b[c] = len_b[u] + 1;
+                    fifo[f_tail++] = c;
+                }
+            }
+        }
+
+        /* Rows by (length, id): level starts are the exclusive prefix
+         * sums of the length histogram; a stable placement by id fills
+         * each level in ascending order. */
+        max_len = 0;
+        for (int64_t i = 0; i < n; i++)
+            if (len_b[i] > max_len)
+                max_len = len_b[i];
+        int64_t num_levels = (int64_t)max_len + 2;
+        int32_t *lev = levels + l_off;
+        for (int64_t k = 0; k < num_levels; k++)
+            lev[k] = 0;
+        for (int64_t i = 0; i < n; i++)
+            if (len_b[i] >= 0)
+                lev[len_b[i] + 1]++;
+        for (int64_t k = 0; k < num_levels - 1; k++)
+            lev[k + 1] += lev[k];
+        int64_t num_reach = lev[max_len + 1];
+        for (int32_t k = 0; k < max_len + 1; k++)
+            cursor[k] = lev[k];
+        for (int64_t i = 0; i < n; i++) {
+            if (len_b[i] >= 0) {
+                int32_t r = cursor[len_b[i]]++;
+                order[o_off + r] = (int32_t)i;
+                row_b[i] = r;
+            }
+        }
+
+        /* Tiebreak sets: next hops one hop shorter that export to the
+         * row's node under GR2, from the one adjacency list its route
+         * class allows, kept ascending by insertion. */
+        int32_t *cand_b = cands + c_off;
+        int64_t *ip = indptr + i_off;
+        int64_t nnz = 0;
+        ip[0] = 0;
+        for (int64_t r = 0; r < num_reach; r++) {
+            int32_t u = order[o_off + r];
+            int8_t cu = cls_b[u];
+            int32_t want = len_b[u] - 1;
+            int64_t start = nnz;
+            const int32_t *adj = cust_idx;
+            int64_t adj_lo = 0, adj_hi = 0;
+            if (cu == 2) {
+                adj = cust_idx;
+                adj_lo = cust_indptr[u];
+                adj_hi = cust_indptr[u + 1];
+            } else if (cu == 1) {
+                adj = peer_idx;
+                adj_lo = peer_indptr[u];
+                adj_hi = peer_indptr[u + 1];
+            } else if (cu == 0) {
+                adj = prov_idx;
+                adj_lo = prov_indptr[u];
+                adj_hi = prov_indptr[u + 1];
+            }
+            for (int64_t e = adj_lo; e < adj_hi; e++) {
+                int32_t d = adj[e];
+                if (len_b[d] != want)
+                    continue;
+                int8_t cd = cls_b[d];
+                int ok = cu == 0 ? cd != -1 : (cd == 2 || cd == 3);
+                if (!ok)
+                    continue;
+                int64_t j = nnz;
+                while (j > start && cand_b[j - 1] > d) {
+                    cand_b[j] = cand_b[j - 1];
+                    j--;
+                }
+                cand_b[j] = d;
+                nnz++;
+            }
+            ip[r + 1] = nnz;
+            for (int64_t e = start; e < nnz; e++)
+                keys[c_off + e] = sbgp_tie_key(
+                    (uint64_t)u, (uint64_t)cand_b[e], (uint64_t)(e - start));
+        }
+
+        counts[3 * b] = num_reach;
+        counts[3 * b + 1] = num_levels;
+        counts[3 * b + 2] = nnz;
+        o_off += num_reach;
+        l_off += num_levels;
+        i_off += num_reach + 1;
+        c_off += nnz;
+    }
+}
 
 void sbgp_trees_level(
     int64_t num_nodes,
@@ -351,10 +550,14 @@ def _load_library() -> ctypes.CDLL:
         lib = ctypes.CDLL(str(_build_shared_object()))
     except OSError as exc:  # dlopen failure
         raise BackendUnavailable(f"cannot load compiled kernels: {exc}") from exc
-    for name in ("sbgp_trees_level", "sbgp_weights_level",
-                 "sbgp_fixpoint_sweep", "sbgp_attack_sweep"):
+    for name in ("sbgp_structure_build", "sbgp_trees_level",
+                 "sbgp_weights_level", "sbgp_fixpoint_sweep",
+                 "sbgp_attack_sweep"):
         fn = getattr(lib, name)
         fn.restype = None
+    lib.sbgp_structure_build.argtypes = (
+        [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 17
+    )
     return lib
 
 
@@ -371,6 +574,47 @@ def _ptr(array: np.ndarray, dtype: type) -> ctypes.c_void_p:
             f"{array.dtype} (contiguous={array.flags.c_contiguous})"
         )
     return ctypes.c_void_p(array.ctypes.data)
+
+
+def structure_build(dests, cust_indptr, cust_idx, peer_indptr, peer_idx,
+                    prov_indptr, prov_idx, cls, lengths, row_of,
+                    order, levels, indptr, cands, keys, counts, scratch):
+    """Build the routing structures of a chunk of destinations.
+
+    The C code trusts the pool capacities, so they are checked against
+    :func:`~repro.routing.backends.structure_capacity` first.
+    """
+    num, n = cls.shape
+    if any(len(ptr) != n + 1 for ptr in (cust_indptr, peer_indptr, prov_indptr)):
+        raise ValueError(f"structure_build adjacency is not over {n} nodes")
+    if num and (int(dests.min()) < 0 or int(dests.max()) >= n):
+        raise ValueError(f"structure_build destinations outside [0, {n})")
+    order_cap, level_cap, indptr_cap, cand_cap = structure_capacity(
+        num, n, cust_indptr, peer_indptr, prov_indptr
+    )
+    if (
+        len(order) < order_cap or len(levels) < level_cap
+        or len(indptr) < indptr_cap or min(len(cands), len(keys)) < cand_cap
+        or lengths.shape != (num, n) or row_of.shape != (num, n)
+        or len(dests) != num or counts.shape != (num, 3)
+        or len(scratch) < 3 * n + 2
+    ):
+        raise ValueError(
+            f"structure_build buffers too small for {num} destinations x "
+            f"{n} nodes (need pools of {order_cap}/{level_cap}/"
+            f"{indptr_cap}/{cand_cap} and scratch of {3 * n + 2})"
+        )
+    _LIB.sbgp_structure_build(
+        _I64(num), _I64(n), _ptr(dests, np.int32),
+        _ptr(cust_indptr, np.int64), _ptr(cust_idx, np.int32),
+        _ptr(peer_indptr, np.int64), _ptr(peer_idx, np.int32),
+        _ptr(prov_indptr, np.int64), _ptr(prov_idx, np.int32),
+        _ptr(cls, np.int8), _ptr(lengths, np.int32), _ptr(row_of, np.int32),
+        _ptr(order, np.int32), _ptr(levels, np.int32),
+        _ptr(indptr, np.int64), _ptr(cands, np.int32),
+        _ptr(keys, np.uint64), _ptr(counts, np.int64),
+        _ptr(scratch, np.int32),
+    )
 
 
 def trees_level(nodes, sizes, starts, row_of_edge, cands, keys, node_b,

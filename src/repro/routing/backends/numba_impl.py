@@ -24,6 +24,15 @@ from repro.routing.backends import _loops
 
 _jit = njit(cache=True, fastmath=False, nogil=True)
 
+# structure_build calls _tie_keys_block through _loops' module globals,
+# so the helper is rebound to its Dispatcher first (see the sweeps below).
+# It is the one kernel _warm_up leaves out: it compiles on first call,
+# so a typing error there cannot fail the load of the other four.  The
+# registry spec leaves ``structure_warm`` off for this tier, so only a
+# direct StructureBuild (the parity tests) reaches it.
+if not hasattr(_loops._tie_keys_block, "py_func"):
+    _loops._tie_keys_block = _jit(_loops._tie_keys_block)
+structure_build = _jit(_loops.structure_build)
 trees_level = _jit(_loops.trees_level)
 weights_level = _jit(_loops.weights_level)
 # fixpoint_sweep calls _edge_key through _loops' module globals (and
@@ -40,7 +49,7 @@ attack_sweep = _jit(_loops.attack_sweep)
 
 
 def _warm_up() -> None:
-    """Compile all four kernels on minimal dtype-exact inputs."""
+    """Compile the four level/sweep kernels on minimal dtype-exact inputs."""
     n = 2
     nodes = np.zeros(1, dtype=np.int32)
     sizes = np.ones(1, dtype=np.int64)

@@ -1,6 +1,9 @@
 """Vectorised numpy kernels — the differential ground truth.
 
-These are the original level/sweep bodies of
+The structure build loops over
+:func:`~repro.routing.tree.compute_dest_routing`, which stays the ground
+truth of every per-destination structure.  The rest are the original
+level/sweep bodies of
 ``repro.routing.arena.compute_trees_batched``,
 ``repro.routing.arena.subtree_weights_batched`` and
 ``repro.routing.fixpoint._sweep``, moved here verbatim so every other
@@ -9,7 +12,7 @@ backend has a fixed point of comparison: the parity suite asserts
 numerics here — a change to operation order is a change to the ground
 truth.
 
-All three kernels share the calling convention documented in
+All five kernels share the calling convention documented in
 :mod:`repro.routing.backends._loops` (same signatures, same dtypes,
 outputs written in place).
 """
@@ -18,7 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.routing.compiled import CompiledGraph
 from repro.routing.policy import POSITION_BITS, RouteClass
+from repro.routing.tree import compute_dest_routing
 
 _POS_MASK = np.uint64((1 << POSITION_BITS) - 1)
 _BLOCKED = np.uint64(2**64 - 1)
@@ -27,6 +32,56 @@ _INVALID_A = np.uint32(0xFFFFFFFF)
 _SELF = int(RouteClass.SELF)
 _CUSTOMER = int(RouteClass.CUSTOMER)
 _UNREACHABLE = int(RouteClass.UNREACHABLE)
+
+
+def structure_build(
+    dests: np.ndarray,
+    cust_indptr: np.ndarray,
+    cust_idx: np.ndarray,
+    peer_indptr: np.ndarray,
+    peer_idx: np.ndarray,
+    prov_indptr: np.ndarray,
+    prov_idx: np.ndarray,
+    cls: np.ndarray,
+    lengths: np.ndarray,
+    row_of: np.ndarray,
+    order: np.ndarray,
+    levels: np.ndarray,
+    indptr: np.ndarray,
+    cands: np.ndarray,
+    keys: np.ndarray,
+    counts: np.ndarray,
+    scratch: np.ndarray,
+) -> None:
+    """Build a chunk of destinations with :func:`compute_dest_routing`.
+
+    One vectorised build per destination, copied into the chunk's rows
+    and pools; ``scratch`` is unused.
+    """
+    cg = CompiledGraph.from_csr(
+        cls.shape[1], cust_indptr, cust_idx, peer_indptr, peer_idx,
+        prov_indptr, prov_idx,
+    )
+    o_off = l_off = i_off = c_off = 0
+    for b, dest in enumerate(dests):
+        # the graph itself is only read when no compiled form is given
+        dr = compute_dest_routing(None, int(dest), cg)
+        num_reach, num_levels, nnz = (
+            len(dr.order), len(dr.level_starts), len(dr.cands)
+        )
+        cls[b] = dr.cls
+        lengths[b] = dr.lengths
+        row_of[b] = dr.row_of
+        order[o_off:o_off + num_reach] = dr.order
+        levels[l_off:l_off + num_levels] = dr.level_starts
+        indptr[i_off:i_off + num_reach + 1] = dr.indptr
+        cands[c_off:c_off + nnz] = dr.cands
+        keys[c_off:c_off + nnz] = dr.tie_keys()
+        counts[b] = (num_reach, num_levels, nnz)
+        o_off += num_reach
+        l_off += num_levels
+        i_off += num_reach + 1
+        c_off += nnz
 
 
 def trees_level(

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from repro.routing import backends as kernel_backends
-from repro.routing.arena import RoutingArena
+from repro.routing.arena import RoutingArena, StructureBuild
 from repro.routing.compiled import CompiledGraph
 from repro.routing.policy import RoutingPolicy, get_policy
 from repro.routing.tree import DestRouting
@@ -185,16 +185,33 @@ class RoutingCache:
         """
         return self._node_secure, self._breaks_ties
 
+    @property
+    def compiled_warm(self) -> bool:
+        """Does :meth:`warm` run the compiled ``structure_build`` kernel?
+
+        True on a backend whose spec sets ``structure_warm`` (cext) for
+        policies whose structure is the three-pass build
+        (:attr:`RoutingPolicy.three_pass`).  The numpy tier, ``sp_first``
+        and the state-dependent policies keep their per-destination (or
+        per-fixpoint-batch) builds.
+        """
+        return (
+            self.policy.three_pass
+            and kernel_backends.get_backend(self.backend_name).structure_warm
+        )
+
     def _build(self, dests: list[int]) -> list[DestRouting]:
         """Build (and transform, and tag) structures for ``dests``."""
-        routings = self.policy.build_many(
+        return self._transform(self.policy.build_many(
             self.graph,
             dests,
             self.compiled,
             node_secure=self._node_secure,
             breaks_ties=self._breaks_ties,
             backend=self.backend_name,
-        )
+        ))
+
+    def _transform(self, routings: list[DestRouting]) -> list[DestRouting]:
         if self.transform is not None:
             routings = [self.transform(dr) for dr in routings]
             for dr in routings:
@@ -221,12 +238,17 @@ class RoutingCache:
             registry.counter("routing.cache.hits").inc()
         return dr
 
-    def warm(self) -> None:
+    def warm(self, workers: int = 1) -> None:
         """Precompute every destination in ``destinations``.
 
         State-dependent policies warm in one batched fixpoint run (the
         Jacobi sweeps are shared across the whole destination chunk)
-        instead of destination-by-destination.
+        instead of destination-by-destination.  With
+        :attr:`compiled_warm`, the kernel builds one chunk of
+        destinations per call, ``workers`` chunks at a time on threads,
+        and a warm of every destination is adopted as the arena as it
+        stands (no per-destination structures to repack).  ``workers``
+        only applies to that path.
         """
         pending = self.pending_destinations()
         if not pending:
@@ -235,18 +257,14 @@ class RoutingCache:
         if self.policy.state_dependent:
             # the batched fixpoint is all-or-nothing; check once up front
             guard.check_deadline("cache warm (batched fixpoint)")
-            registry = get_registry()
             start = time.perf_counter()
             routings = self._build(pending)
             elapsed = time.perf_counter() - start
             for dest, dr in zip(pending, routings):
                 self._routing[dest] = dr
-            self._misses += len(pending)
-            self._builds += len(pending)
-            self._warm_seconds += elapsed
-            registry.counter("routing.cache.misses").inc(len(pending))
-            registry.counter("routing.tree_builds").inc(len(pending))
-            registry.histogram("routing.tree_build_seconds").observe(elapsed)
+            self._count_builds(len(pending), elapsed)
+        elif self.compiled_warm:
+            self._warm_compiled(pending, workers)
         else:
             for k, dest in enumerate(pending):
                 if k % _WARM_CHECK_STRIDE == 0:
@@ -254,6 +272,38 @@ class RoutingCache:
                     # expired budget here resumes where warming stopped
                     guard.check_deadline("cache warm")
                 self.dest_routing(dest)
+
+    def _warm_compiled(self, pending: list[int], workers: int) -> None:
+        guard = current_guard()
+        build = StructureBuild(self.compiled, pending, backend=self.backend_name)
+        start = time.perf_counter()
+        try:
+            # an expired deadline stops dispatch between chunks; the
+            # finished chunks are cached below, so a rerun resumes there
+            build.run(workers, check=lambda: guard.check_deadline("cache warm"))
+        finally:
+            self._count_builds(build.num_built(), time.perf_counter() - start)
+            if (
+                build.complete
+                and len(pending) == len(self.destinations)
+                and self.policy.sticky_fraction == 0.0
+                and self.transform is None
+            ):
+                self._adopt_arena(build.arena(self.policy.name))
+            else:
+                routings = self.policy.finish(build.views(), self.graph.n)
+                for dr in self._transform(routings):
+                    self._routing[dr.dest] = dr
+
+    def _count_builds(self, built: int, elapsed: float) -> None:
+        """Account one batched warm: ``built`` misses and builds."""
+        self._misses += built
+        self._builds += built
+        self._warm_seconds += elapsed
+        registry = get_registry()
+        registry.counter("routing.cache.misses").inc(built)
+        registry.counter("routing.tree_builds").inc(built)
+        registry.histogram("routing.tree_build_seconds").observe(elapsed)
 
     def ensure_state(
         self, node_secure: np.ndarray, breaks_ties: np.ndarray
@@ -305,6 +355,7 @@ class RoutingCache:
         """
         if self._arena is None:
             self.warm()
+        if self._arena is None:
             arena = RoutingArena.build(
                 self.graph.n,
                 self.destinations,

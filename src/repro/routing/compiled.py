@@ -54,8 +54,25 @@ class CompiledGraph:
         cust_indptr, cust_idx = _csr(graph.customers)
         prov_indptr, prov_idx = _csr(graph.providers)
         peer_indptr, peer_idx = _csr(graph.peers)
+        return cls.from_csr(
+            graph.n, cust_indptr, cust_idx, peer_indptr, peer_idx,
+            prov_indptr, prov_idx,
+        )
+
+    @classmethod
+    def from_csr(
+        cls,
+        n: int,
+        cust_indptr: np.ndarray,
+        cust_idx: np.ndarray,
+        peer_indptr: np.ndarray,
+        peer_idx: np.ndarray,
+        prov_indptr: np.ndarray,
+        prov_idx: np.ndarray,
+    ) -> "CompiledGraph":
+        """Rebuild from the three adjacency CSRs (the kernels' view)."""
         return cls(
-            n=graph.n,
+            n=n,
             cust_indptr=cust_indptr,
             cust_idx=cust_idx,
             prov_indptr=prov_indptr,

@@ -174,6 +174,17 @@ class RoutingPolicy:
         """
         return self.ranking[-1] is not Criterion.SECP
 
+    @property
+    def three_pass(self) -> bool:
+        """Is the structure the three-pass build of ``compute_dest_routing``?
+
+        True for the state-independent rankings that lead with LP
+        (``security_3rd``, ``sticky_primaries``): exactly the build the
+        ``structure_build`` kernel of :mod:`repro.routing.backends`
+        compiles.
+        """
+        return not self.state_dependent and self.ranking[0] is Criterion.LP
+
     def ranking_str(self) -> str:
         """Human-readable ranking, e.g. ``"LP > SP > SecP > TB"``."""
         names = {Criterion.LP: "LP", Criterion.SP: "SP", Criterion.SECP: "SecP"}
@@ -279,7 +290,16 @@ class RoutingPolicy:
 
             cg = compiled or CompiledGraph.from_graph(graph)
             routings = [base(graph, d, cg) for d in dests]
-        sticky = self.sticky_mask(graph.n)
+        return self.finish(routings, graph.n)
+
+    def finish(self, routings: "list[DestRouting]", n: int) -> "list[DestRouting]":
+        """Apply the sticky-primary restriction and tag with this policy.
+
+        The last step of :meth:`build_many`, shared with builders that
+        produce the base structures themselves (the routing cache's
+        compiled warm).
+        """
+        sticky = self.sticky_mask(n)
         if sticky is not None:
             routings = [restrict_to_primary(r, sticky) for r in routings]
         for r in routings:

@@ -1,8 +1,9 @@
-"""Dispatches the workers: `.map` first-arg and `Thread(target=...)`."""
+"""Dispatches the workers: `.map` / `.submit` first-arg and `Thread(target=...)`."""
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
-from repro.fixture016.worker import record
+from repro.fixture016.worker import record, record_submitted
 
 
 class MiniEngine:
@@ -19,3 +20,8 @@ def run_thread() -> threading.Thread:
     thread = threading.Thread(target=record, args=("t",))
     thread.start()
     return thread
+
+
+def run_executor() -> None:
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        pool.submit(record_submitted, "s").result()

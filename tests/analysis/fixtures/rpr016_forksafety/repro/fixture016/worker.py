@@ -5,6 +5,7 @@ import threading
 COUNTER: dict[str, int] = {}
 TOTALS: dict[str, int] = {}
 STATS: dict[str, int] = {}
+SUBMITTED: dict[str, int] = {}
 _LOCK = threading.Lock()
 _tls = threading.local()
 
@@ -15,6 +16,10 @@ def record(key: str) -> None:
     record_threadlocal(key)
     record_waived(key)
     helper_pure(key)
+
+
+def record_submitted(key: str) -> None:
+    SUBMITTED[key] = 1  # expect: RPR016
 
 
 def record_locked(key: str) -> None:

@@ -98,3 +98,39 @@ def test_per_destination_turn_off_gains(setup):
         for dest, gain in gains.items():
             assert gain > 0
             assert dest != isp
+
+
+def test_state_dependent_projection_runs_on_cache_backend(monkeypatch):
+    """A cext cache's security_2nd projections rebuild on the cext kernels:
+    the flip projection and the per-destination turn-off gains both."""
+    from repro.routing import backends as kernel_backends
+    from repro.routing import fixpoint
+    from repro.routing.errors import BackendUnavailable
+
+    try:
+        kernel_backends.load_backend("cext")
+    except BackendUnavailable:
+        pytest.skip("cext backend unusable here")
+    g = generate_topology(n=80, seed=4).graph
+    apply_traffic_model(g, 0.10)
+    cache = RoutingCache(g, policy="security_2nd", backend="cext")
+    deriver = StateDeriver(g, compiled=cache.compiled)
+    isps = g.isp_indices
+    state = DeploymentState.initial(frozenset(isps[:2]))
+    rd = compute_round_data(cache, deriver, state, UtilityModel.OUTGOING)
+
+    seen: list[str | None] = []
+    real = fixpoint.fixpoint_dest_routings
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("backend"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fixpoint, "fixpoint_dest_routings", spy)
+    proj = project_flip(cache, deriver, rd, isps[2], True, UtilityModel.OUTGOING)
+    assert proj.dests_recomputed > 0
+    assert seen and set(seen) == {"cext"}
+
+    seen.clear()
+    per_destination_turn_off_gains(cache, deriver, rd, isps[0])
+    assert seen and set(seen) == {"cext"}
