@@ -32,6 +32,8 @@ BACKEND_N = int(os.environ.get("REPRO_BENCH_BACKEND_N", "4000"))
 BACKEND_SEED = int(os.environ.get("REPRO_BENCH_SEED", "2011"))
 NUM_DESTS = 64
 FIXPOINT_DESTS = 16
+#: destinations one flip projection typically re-resolves
+SUBSET_SLOTS = 8
 
 
 def _loadable() -> list[str]:
@@ -77,12 +79,35 @@ def test_kernel_backend_trees(benchmark, bench_env, bench_state, backend):
     arena = bench_env.cache.ensure_arena()
     arena.backend = backend
     slots = arena.all_slots()
-    # warm outside the timer: first call pays lazy level-major stacking
+    # warm outside the timer: numpy's first call pays the lazy
+    # level-major stacking
     compute_trees_batched(arena, slots, bench_state, bench_state)
     bt = benchmark(
         lambda: compute_trees_batched(arena, slots, bench_state, bench_state)
     )
     assert bt.choice.shape == (len(slots), bench_env.graph.n)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_kernel_backend_subset_trees(benchmark, bench_env, bench_state, backend):
+    """Projection-shaped: trees then weights of a few unsorted slots.
+
+    A flip projection re-resolves only the destinations the flip can
+    move, a handful per call, so this is where per-call overhead (the
+    numpy tier's per-level gathers) shows against the kernel itself.
+    """
+    arena = bench_env.cache.ensure_arena()
+    arena.backend = backend
+    slots = np.arange(arena.num_dests, dtype=np.int64)[::-8][:SUBSET_SLOTS]
+    weights = bench_env.graph.weights
+
+    def project():
+        bt = compute_trees_batched(arena, slots, bench_state, bench_state)
+        return subtree_weights_batched(arena, slots, bt.choice, weights)
+
+    project()  # numpy: the first call pays the lazy level-major stacking
+    w = benchmark(project)
+    assert w.shape == (SUBSET_SLOTS, bench_env.graph.n)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -1,8 +1,12 @@
 """Kernel ablation: incremental vs full projected-utility engines.
 
 DESIGN.md calls this out: both produce identical values (tests assert
-it); the incremental engine prunes non-reactive destinations and
-propagates deltas, which is what makes whole-graph sweeps tractable.
+it).  The incremental engine prunes non-reactive destinations and
+propagates deltas per node in Python; the full engine re-resolves every
+relevant destination in one batched kernel call.  End to end the full
+engine wins (about 3x at N=2000 on both numpy and cext), so it is the
+default of ``SimulationConfig`` and ``project_flip`` alike; these
+benches keep the per-call comparison visible.
 """
 
 from __future__ import annotations

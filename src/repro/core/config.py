@@ -60,7 +60,12 @@ class SimulationConfig:
     #: secure ISPs may turn S*BGP off (only meaningful under INCOMING;
     #: Theorem 6.2 rules it out under OUTGOING, where it is ignored)
     allow_turn_off: bool = True
-    #: number of worker processes for the per-destination map step
+    #: parallelism requested for the run.  The simulation itself does
+    #: not read it: projections always run in the calling process (one
+    #: compiled resolve per projection beat forking them), and the
+    #: structure build's threads and the numpy tier's warm processes
+    #: take their count from ``build_environment(workers=...)``.  Kept
+    #: so configurations that name it still validate and compare.
     workers: int = 1
     #: record per-round utilities of every AS in the history (memory!)
     record_utilities: bool = True

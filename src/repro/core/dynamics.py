@@ -26,7 +26,7 @@ from pathlib import Path
 from repro.core.config import SimulationConfig
 from repro.core.engine import RoundData, compute_round_data
 from repro.core.pricing import LINEAR_PRICING, Pricing
-from repro.core.projection import Projection, project_flip
+from repro.core.projection import Projection
 from repro.core.state import DeploymentState, StateDeriver
 from repro.routing.cache import RoutingCache
 from repro.routing.policy import DEFAULT_POLICY
@@ -338,29 +338,21 @@ class DeploymentSimulation:
         )
 
     def _project_jobs(self, rd: RoundData, jobs: list[tuple[int, bool]]) -> list[Projection]:
-        """Evaluate the round's flip projections, serially or fanned out.
+        """Evaluate the round's flip projections in this process.
 
-        With ``config.workers > 1`` the independent per-ISP projections
-        run on the process engine (fork copy-on-write; only index pairs
-        and scalar-sized projections cross the pipes — see
-        :func:`repro.parallel.engine.parallel_project_flips`).
+        Goes through :func:`repro.parallel.engine.parallel_project_flips`,
+        whose name predates its single code path: projections once
+        forked over ``config.workers`` processes, which measured slower
+        than running them here once the per-destination resolve was one
+        compiled call, so ``workers`` no longer reaches this step.
         """
-        cfg = self.config
-        if cfg.workers > 1 and len(jobs) > 1:
-            from repro.parallel.engine import parallel_project_flips
+        from repro.parallel.engine import parallel_project_flips
 
-            return parallel_project_flips(
-                self.cache, self.deriver, rd, jobs,
-                model=cfg.utility_model, projection=cfg.projection,
-                workers=cfg.workers,
-            )
-        return [
-            project_flip(
-                self.cache, self.deriver, rd, isp,
-                turning_on=turning_on, model=cfg.utility_model, engine=cfg.projection,
-            )
-            for isp, turning_on in jobs
-        ]
+        cfg = self.config
+        return parallel_project_flips(
+            self.cache, self.deriver, rd, jobs,
+            model=cfg.utility_model, projection=cfg.projection,
+        )
 
     def _decision_makers(self, turning_on: bool) -> Sequence[int]:
         deployers = self.state.deployers

@@ -142,9 +142,8 @@ def compute_round_data(
 
     Runs on the pooled :class:`~repro.routing.arena.RoutingArena`
     (built on first use): every destination's tree is resolved by the
-    batched level-synchronous kernel in one stacked pass, and the
-    security/candidate matrices are the kernel's output buffers —
-    no per-destination copies.
+    batched kernel in one call, and the security/candidate matrices are
+    the kernel's output buffers — no per-destination copies.
     """
     graph = cache.graph
     node_secure = deriver.node_secure(state)

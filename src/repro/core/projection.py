@@ -75,7 +75,7 @@ def project_flip(
     isp: int,
     turning_on: bool,
     model: UtilityModel,
-    engine: ProjectionEngine = ProjectionEngine.INCREMENTAL,
+    engine: ProjectionEngine = ProjectionEngine.FULL,
 ) -> Projection:
     """Projected utility of ``isp`` if it flipped its action this round."""
     graph = cache.graph
@@ -110,7 +110,7 @@ def project_flip(
     # Destinations whose *own* security status changes always need a
     # full recompute; under the FULL engine so do all reroutable
     # candidates.  Everything needing a full recompute goes through the
-    # batched arena kernel in ONE stacked pass.
+    # batched arena kernel in ONE call.
     special_positions: set[int] = set()
     for node in flips:
         pos = cache.position_of(node)
@@ -243,7 +243,7 @@ def _recompute_dest_states(
 
     When the cache carries a :class:`~repro.routing.arena.RoutingArena`
     (the normal case after the first round), all requested destinations
-    are resolved in a single stacked pass of the batched kernel; the
+    are resolved in a single call of the batched kernel; the
     per-destination loop below is the fallback for caches warmed without
     an arena.
     """

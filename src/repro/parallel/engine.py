@@ -841,54 +841,25 @@ def _warm_via_shm(
         )
 
 
-class _FlipProjector:
-    """Map function: ``(isp, turning_on)`` -> Projection.
-
-    Carries the cache, deriver and current round data.  Under the fork
-    start method nothing here is pickled — children see the parent's
-    structures copy-on-write, and only the (index, bool) jobs and the
-    scalar-sized :class:`~repro.core.projection.Projection` results
-    cross the pipes.
-    """
-
-    def __init__(self, cache, deriver, rd, model, projection):
-        self.cache = cache
-        self.deriver = deriver
-        self.rd = rd
-        self.model = model
-        self.projection = projection
-
-    def __call__(self, job: tuple[int, bool]):
-        from repro.core.projection import project_flip
-
-        isp, turning_on = job
-        return project_flip(
-            self.cache, self.deriver, self.rd, int(isp),
-            turning_on=bool(turning_on), model=self.model, engine=self.projection,
-        )
-
-
-def parallel_project_flips(
-    cache, deriver, rd, jobs, model, projection, workers: int = 1
-) -> list:
-    """Project many candidate flips, fanned out over worker processes.
+def parallel_project_flips(cache, deriver, rd, jobs, model, projection) -> list:
+    """Project a round's candidate flips, in order, in this process.
 
     ``jobs`` is a sequence of ``(isp, turning_on)`` pairs; returns the
-    matching :class:`~repro.core.projection.Projection` list.  Requires
-    the ``fork`` start method (routing state is shared copy-on-write;
-    pickling a whole round's trees to spawned workers would cost more
-    than it saves) — anything else degrades to a serial loop with a
-    one-line warning.
+    matching :class:`~repro.core.projection.Projection` list.  The name
+    is historical: projections used to fan out over forked workers, but
+    a fork per round cost more than the projections it spread (see
+    DESIGN.md §10), so every job now runs here, one after another, with
+    the guard's deadline checked before each so an expired budget stops
+    a round mid-way.
     """
-    projector = _FlipProjector(cache, deriver, rd, model, projection)
-    if workers <= 1 or len(jobs) <= 1:
-        return [projector(job) for job in jobs]
-    if choose_start_method() != "fork":
-        log.warning(
-            "parallel projection needs the fork start method; running %d "
-            "projections serially", len(jobs),
-        )
-        return [projector(job) for job in jobs]
-    cache.ensure_arena()  # share the pooled arena pages, not dict shards
-    engine = ProcessEngine(workers=workers, start_method="fork")
-    return engine.map(projector, list(jobs))
+    from repro.core.projection import project_flip
+
+    guard = current_guard()
+    out = []
+    for k, (isp, turning_on) in enumerate(jobs):
+        guard.check_deadline(f"projection {k + 1}/{len(jobs)}")
+        out.append(project_flip(
+            cache, deriver, rd, int(isp),
+            turning_on=bool(turning_on), model=model, engine=projection,
+        ))
+    return out

@@ -25,13 +25,15 @@ contiguous pools with a per-destination offset table:
 pools, so all existing per-destination code keeps working unchanged.
 
 On top of the pools, :func:`compute_trees_batched` resolves *many*
-destinations in one level-synchronous pass: same-path-length segments
-are stacked across destinations (the arena precomputes this level-major
-layout), so the Python-level loop runs over the handful of **global**
-levels instead of ``n_dests x n_levels``.  Candidates always sit one
-level below their row's node, so interleaving destinations within a
-level is safe — each destination still sees its own already-resolved
-previous level.
+destinations per call.  On a loop tier (``python``, numba, cext) one
+``trees_slots`` call walks each requested destination's own pool
+segments.  On numpy, same-path-length segments are stacked across
+destinations (a level-major mirror of the pools, built lazily and only
+on this tier), so the Python-level loop runs over the handful of
+**global** levels instead of ``n_dests x n_levels``.  Candidates always
+sit one level below their row's node, so interleaving destinations
+within a level is safe — each destination still sees its own
+already-resolved previous level.
 
 :class:`StructureBuild` fills an arena without per-destination
 objects: the backend's ``structure_build`` kernel writes each chunk of
@@ -284,9 +286,11 @@ class RoutingArena:
         ``avg_reach_fraction`` scales the per-destination reach (1.0 =
         every node reaches every destination, the connected-graph
         worst case).  ``include_level_major`` also counts the stacked
-        level-major mirror the batched kernel builds lazily (roughly a
-        second copy of the CSR pools) — that mirror is resident during
-        every round, so planning without it would undercount by ~2x.
+        level-major mirror the numpy tier's batched kernel builds lazily
+        (roughly a second copy of the CSR pools) — on numpy that mirror
+        is resident during every round, so planning without it would
+        undercount by ~2x; the loop tiers never build it, so for them
+        the forecast errs high.
         """
         if num_dests < 0 or n < 0:
             raise ValueError("num_dests and n must be >= 0")
@@ -382,13 +386,12 @@ class RoutingArena:
 
     # -- the batched kernel --------------------------------------------
 
-    @property
-    def num_levels(self) -> int:
-        """Global level count (max path length over all destinations + 1)."""
-        return len(self._level_major())
-
     def _level_major(self) -> list[_LevelSlice]:
-        """Build (once) the level-major stacked layout over all slots."""
+        """Build (once) the level-major stacked layout over all slots.
+
+        Only the numpy tier reads it; the loop tiers resolve straight
+        from the pools.
+        """
         if self._levels is not None:
             return self._levels
         num = self.num_dests
@@ -584,7 +587,7 @@ class StructureBuild:
         from concurrent.futures import ThreadPoolExecutor
 
         # Leaving the with-block joins the threads, so none outlives the
-        # build into a later fork (the round loop forks projection workers).
+        # build into a later fork (the numpy tier's warm forks workers).
         with ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="structure-build"
         ) as pool:
@@ -685,16 +688,17 @@ def compute_trees_batched(
     Bit-identical to calling
     :func:`~repro.routing.fast_tree.compute_tree` per destination
     (asserted by the differential suite in
-    ``tests/routing/test_arena.py``), but the Python-level loop runs
-    over *global* path-length levels.  The per-level body dispatches
-    through the arena's kernel backend
-    (:mod:`repro.routing.backends`): ``numpy`` stacks the segments of
-    every batched destination and resolves them with one set of numpy
-    segment operations; the compiled tiers run the same selection as a
-    native loop over the stacked arrays.  All backends are bit-identical
-    (asserted by ``tests/routing/test_backends.py``).
+    ``tests/routing/test_arena.py``).  Dispatches through the arena's
+    kernel backend (:mod:`repro.routing.backends`): a loop tier's
+    ``trees_slots`` resolves the whole slot list in one call, walking
+    each destination's own pool segments; ``numpy`` stacks the segments
+    of every batched destination level by level (the lazily built
+    level-major mirror) and resolves each global level with one set of
+    numpy segment operations.  All backends are bit-identical (asserted
+    by ``tests/routing/test_backends.py`` and
+    ``tests/routing/test_resolve_slots.py``).
     """
-    slots = np.asarray(slots, dtype=np.int64)
+    slots = np.ascontiguousarray(slots, dtype=np.int64)
     B = len(slots)
     n = arena.graph_n
     node_secure = np.ascontiguousarray(node_secure, dtype=bool)
@@ -706,16 +710,42 @@ def compute_trees_batched(
     secure[np.arange(B), dest_ids] = node_secure[dest_ids]
 
     backend, kernels = kernel_backends.kernels_for(arena.backend)
-    full = B == arena.num_dests and np.array_equal(slots, arena.all_slots())
-    levels = arena._level_major()
     registry = get_registry()
     if registry.enabled:
         registry.counter("routing.batched.calls").inc()
         registry.counter("routing.batched.trees").inc(B)
-        registry.counter("routing.batched.levels").inc(len(levels))
         registry.counter(f"routing.backend.calls.{backend}").inc()
 
-    for lvl in levels:
+    if hasattr(kernels, "trees_slots"):
+        kernels.trees_slots(
+            slots, arena.order_ptr, arena.order_pool, arena.level_ptr,
+            arena.level_pool, arena.indptr_ptr, arena.indptr_pool,
+            arena.cand_ptr, arena.cands_pool, arena.keys_pool,
+            node_secure, breaks_ties, choice, secure, any_secure,
+        )
+    else:
+        _trees_stacked(arena, slots, kernels, node_secure, breaks_ties,
+                       choice, secure, any_secure)
+
+    return BatchedTrees(
+        dest_ids=dest_ids,
+        slots=slots,
+        choice=choice,
+        secure=secure,
+        any_secure=any_secure,
+    )
+
+
+def _trees_stacked(arena, slots, kernels, node_secure, breaks_ties,
+                   choice, secure, any_secure) -> None:
+    """The numpy tier: resolve ``slots`` one stacked global level at a time.
+
+    The full slot set reads the level-major stacks as built; a subset
+    gathers its segments out of them.
+    """
+    B = len(slots)
+    full = B == arena.num_dests and np.array_equal(slots, arena.all_slots())
+    for lvl in arena._level_major():
         if full:
             nodes, sizes = lvl.nodes, lvl.sizes
             cands, keys = lvl.cands, lvl.keys
@@ -741,14 +771,6 @@ def compute_trees_batched(
             node_secure, breaks_ties, choice, secure, any_secure,
         )
 
-    return BatchedTrees(
-        dest_ids=dest_ids,
-        slots=slots,
-        choice=choice,
-        secure=secure,
-        any_secure=any_secure,
-    )
-
 
 def subtree_weights_batched(
     arena: RoutingArena,
@@ -762,10 +784,11 @@ def subtree_weights_batched(
     :func:`compute_trees_batched`; returns the matching ``[B, n]``
     float64 subtree-weight matrix (row ``i`` excludes node weights of
     the nodes themselves, exactly like the per-destination kernel).
-    Levels dispatch through the arena's kernel backend, like
-    :func:`compute_trees_batched`.
+    Dispatches like :func:`compute_trees_batched`: one
+    ``weights_slots`` call on a loop tier, deepest global level first
+    on numpy.
     """
-    slots = np.asarray(slots, dtype=np.int64)
+    slots = np.ascontiguousarray(slots, dtype=np.int64)
     B = len(slots)
     n = arena.graph_n
     weights = np.ascontiguousarray(weights, dtype=np.float64)
@@ -775,6 +798,12 @@ def subtree_weights_batched(
     registry = get_registry()
     if registry.enabled:
         registry.counter(f"routing.backend.calls.{backend}").inc()
+    if hasattr(kernels, "weights_slots"):
+        kernels.weights_slots(
+            slots, arena.order_ptr, arena.order_pool, arena.level_ptr,
+            arena.level_pool, choice, weights, w,
+        )
+        return w
     full = B == arena.num_dests and np.array_equal(slots, arena.all_slots())
     for lvl in reversed(arena._level_major()):
         if full:

@@ -4,7 +4,13 @@ The five hot kernels — the per-destination structure build (three
 passes plus the tiebreak CSR, one chunk of destinations per call), the
 batched tree resolver, the batched subtree weights, the
 synchronous-Jacobi fixpoint sweep, and its multi-origin attack variant —
-exist in multiple implementations ("backends") behind this registry:
+exist in multiple implementations ("backends") behind this registry.
+The tree resolver and subtree weights come in two shapes: the loop
+tiers expose ``trees_slots`` / ``weights_slots``, which resolve a whole
+slot list in one call over the arena's pools, and numpy exposes
+``trees_level`` / ``weights_level``, one stacked global level per call
+(:func:`~repro.routing.arena.compute_trees_batched` picks by which the
+tier has):
 
 - ``numpy``: the original vectorised code, moved verbatim into
   :mod:`repro.routing.backends.numpy_impl` (its structure build loops
@@ -12,7 +18,7 @@ exist in multiple implementations ("backends") behind this registry:
   **differential ground truth**: every other backend must produce
   bit-identical outputs (asserted by ``tests/routing/test_backends.py``
   and ``tests/routing/test_structure_build.py``).
-- ``numba``: ``@njit``-compiled level loops over the arena's flat CSR
+- ``numba``: ``@njit``-compiled loops over the arena's flat CSR
   pools (:mod:`repro.routing.backends.numba_impl`).  Numba is an
   *optional* dependency (the ``compiled`` extra); the module is only
   imported when the backend is requested, compiles with ``cache=True``
@@ -202,10 +208,11 @@ def load_backend(name: str) -> Any:
     """Import (and for compiled tiers, compile + warm) backend ``name``.
 
     Returns the implementation module exposing ``structure_build``,
-    ``trees_level``, ``weights_level``, ``fixpoint_sweep`` and
-    ``attack_sweep``.  Load results are cached both ways: a success is
-    never re-imported, a failure is never retried within the process
-    (compilation attempts are expensive and deterministic).
+    ``trees_slots`` and ``weights_slots`` (numpy: ``trees_level`` and
+    ``weights_level``), ``fixpoint_sweep`` and ``attack_sweep``.  Load
+    results are cached both ways: a success is never re-imported, a
+    failure is never retried within the process (compilation attempts
+    are expensive and deterministic).
     """
     impl = _IMPLS.get(name)
     if impl is not None:
@@ -355,7 +362,7 @@ register_backend(
 register_backend(
     KernelBackend(
         name="numba",
-        description="@njit-compiled level loops (optional 'compiled' extra)",
+        description="@njit-compiled loops (optional 'compiled' extra)",
         module="repro.routing.backends.numba_impl",
         compiled=True,
         requires=("numba",),

@@ -12,8 +12,9 @@ JIT and the C code inherit).
 Calling convention (all backends):
 
 - outputs are written **in place**; the functions return ``None``;
-- dtypes are fixed by the dispatchers: ``nodes``/``cands``/``node_b``/
-  ``choice`` int32, ``sizes``/``starts``/``row_of_edge`` int64,
+- dtypes are fixed by the dispatchers: the slot kernels take int64
+  ``slots`` and the arena's pools and ``*_ptr`` tables in their
+  :data:`~repro.routing.arena.ARENA_FIELDS` dtypes, ``choice`` int32,
   ``keys``/``tie_key`` uint64, masks bool, weights float64, fixpoint
   labels int8/int32/bool, rank metadata int64 codes + uint32 widths;
   the structure build takes int64 ``*_indptr`` / int32 ``*_idx``
@@ -30,14 +31,16 @@ Bit-identity with the numpy backend is structural, not accidental:
   counting-sorts nodes by ``(length, id)`` and insertion-sorts each
   tiebreak row ascending — the orders the numpy builder's stable sorts
   produce;
-- tree levels select a per-node *minimum* key — order-independent, and
-  candidates live one level below their node, so per-node loops see the
-  same already-resolved state the whole-level gather sees;
+- trees select a per-node *minimum* key — order-independent, and
+  candidates live one level below their node, so a forward walk over a
+  destination's rows sees the same already-resolved state numpy's
+  whole-level gather sees;
 - subtree weights: every parent receives contributions only while its
   children's level is processed (children sit exactly one level deeper)
   and ``0.0 + x == x`` exactly in IEEE-754, so accumulating child by
-  child in stack order reproduces ``bincount``'s left-to-right sum bit
-  for bit;
+  child, deepest level first and in row order within a level,
+  reproduces ``bincount``'s left-to-right sum over numpy's stacked
+  level bit for bit;
 - the fixpoint sweep recomputes each edge's rank key in two passes
   (min, then tie mask) rather than materialising the key row — the key
   is a deterministic pure function of the labels, so both passes agree.
@@ -282,45 +285,66 @@ def _tie_keys_block(order, indptr, cands, keys, o_off, i_off, c_off,
     keys[c_off:c_off + nnz] = (x & _HASH_MASK) | rel
 
 
-def trees_level(nodes, sizes, starts, row_of_edge, cands, keys, node_b,
+def trees_slots(slots, order_ptr, order_pool, level_ptr, level_pool,
+                indptr_ptr, indptr_pool, cand_ptr, cands_pool, keys_pool,
                 node_secure, breaks_ties, choice, secure, any_secure):
-    """Resolve one stacked path-length level, one node at a time."""
-    for r in range(nodes.shape[0]):
-        u = nodes[r]
-        b = node_b[r]
-        s = starts[r]
-        m = sizes[r]
-        if m <= 0:
-            continue
-        any_sec = False
-        min_all = _BLOCKED
-        min_sec = _BLOCKED
-        for e in range(s, s + m):
-            k = keys[e]
-            if k < min_all:
-                min_all = k
-            if secure[b, cands[e]]:
-                any_sec = True
-                if k < min_sec:
-                    min_sec = k
-        any_secure[b, u] = any_sec
-        if node_secure[u] and breaks_ties[u] and any_sec:
-            kmin = min_sec
-        else:
-            kmin = min_all
-        c = cands[s + np.int64(kmin & _POS_MASK)]
-        choice[b, u] = c
-        secure[b, u] = node_secure[u] and secure[b, c]
+    """Resolve the trees of a slot list: row ``i`` is slot ``slots[i]``.
+
+    Each destination walks its own arena segments, rows in forward
+    ``(length, id)`` order from level 1 on (level 0 is the destination,
+    whose tiebreak set is empty).  A row's candidates sit one level
+    below it, so they are resolved before the row is reached.
+    """
+    for i in range(slots.shape[0]):
+        k = slots[i]
+        o_lo = order_ptr[k]
+        i_lo = indptr_ptr[k]
+        c_lo = cand_ptr[k]
+        for r in range(level_pool[level_ptr[k] + 1], order_ptr[k + 1] - o_lo):
+            s = c_lo + indptr_pool[i_lo + r]
+            hi = c_lo + indptr_pool[i_lo + r + 1]
+            if hi <= s:
+                continue
+            u = order_pool[o_lo + r]
+            any_sec = False
+            min_all = _BLOCKED
+            min_sec = _BLOCKED
+            for e in range(s, hi):
+                key = keys_pool[e]
+                if key < min_all:
+                    min_all = key
+                if secure[i, cands_pool[e]]:
+                    any_sec = True
+                    if key < min_sec:
+                        min_sec = key
+            any_secure[i, u] = any_sec
+            if node_secure[u] and breaks_ties[u] and any_sec:
+                kmin = min_sec
+            else:
+                kmin = min_all
+            c = cands_pool[s + np.int64(kmin & _POS_MASK)]
+            choice[i, u] = c
+            secure[i, u] = node_secure[u] and secure[i, c]
 
 
-def weights_level(nodes, node_b, choice, node_weights, w):
-    """Push one level's subtree weights up to the chosen parents."""
-    for r in range(nodes.shape[0]):
-        u = nodes[r]
-        b = node_b[r]
-        p = choice[b, u]
-        if p >= 0:
-            w[b, p] += w[b, u] + node_weights[u]
+def weights_slots(slots, order_ptr, order_pool, level_ptr, level_pool,
+                  choice, node_weights, w):
+    """Push subtree weights up each slot's tree: row ``i`` is ``slots[i]``.
+
+    Levels run deepest first, rows within a level in forward order:
+    per destination the order the stacked numpy ``weights_level`` adds
+    in, so every parent's sum is bit-identical to it.
+    """
+    for i in range(slots.shape[0]):
+        k = slots[i]
+        o_lo = order_ptr[k]
+        l_lo = level_ptr[k]
+        for lvl in range(level_ptr[k + 1] - l_lo - 2, 0, -1):
+            for r in range(level_pool[l_lo + lvl], level_pool[l_lo + lvl + 1]):
+                u = order_pool[o_lo + r]
+                p = choice[i, u]
+                if p >= 0:
+                    w[i, p] += w[i, u] + node_weights[u]
 
 
 def fixpoint_sweep(u, v, route_cls, seg_starts, seg_sizes, seg_u, tie_key,

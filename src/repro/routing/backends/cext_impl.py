@@ -16,7 +16,8 @@ Why ctypes and not a real extension module: the kernels take flat typed
 buffers and return nothing, so the FFI surface is five pointer-and-
 stride signatures — not worth a build system.  The Python-side wrappers
 enforce dtype and contiguity *loudly* (a silent mismatch would corrupt
-memory), which the parity suite exercises.
+memory), plus the slot ranges, pool capacities and matrix shapes the C
+code indexes by, which the parity suite exercises.
 """
 
 from __future__ import annotations
@@ -254,60 +255,81 @@ void sbgp_structure_build(
     }
 }
 
-void sbgp_trees_level(
-    int64_t num_nodes,
-    const int32_t *nodes, const int64_t *sizes, const int64_t *starts,
-    const int32_t *cands, const uint64_t *keys, const int32_t *node_b,
+void sbgp_trees_slots(
+    int64_t num_slots, int64_t n, const int64_t *slots,
+    const int64_t *order_ptr, const int32_t *order_pool,
+    const int64_t *level_ptr, const int32_t *level_pool,
+    const int64_t *indptr_ptr, const int64_t *indptr_pool,
+    const int64_t *cand_ptr, const int32_t *cands_pool,
+    const uint64_t *keys_pool,
     const uint8_t *node_secure, const uint8_t *breaks_ties,
-    int64_t n, int32_t *choice, uint8_t *secure, uint8_t *any_secure)
+    int32_t *choice, uint8_t *secure, uint8_t *any_secure)
 {
-    for (int64_t r = 0; r < num_nodes; r++) {
-        int64_t u = nodes[r];
-        int64_t b = node_b[r];
-        int64_t s = starts[r];
-        int64_t m = sizes[r];
-        if (m <= 0)
-            continue;
-        const uint8_t *srow = secure + b * n;
-        uint64_t min_all = UINT64_MAX;
-        uint64_t min_sec = UINT64_MAX;
-        int any_sec = 0;
-        for (int64_t e = s; e < s + m; e++) {
-            uint64_t k = keys[e];
-            if (k < min_all)
-                min_all = k;
-            if (srow[cands[e]]) {
-                any_sec = 1;
-                if (k < min_sec)
-                    min_sec = k;
+    for (int64_t i = 0; i < num_slots; i++) {
+        int64_t k = slots[i];
+        const int32_t *order = order_pool + order_ptr[k];
+        const int64_t *ip = indptr_pool + indptr_ptr[k];
+        const int32_t *cands = cands_pool + cand_ptr[k];
+        const uint64_t *keys = keys_pool + cand_ptr[k];
+        int64_t reach = order_ptr[k + 1] - order_ptr[k];
+        int32_t *choice_i = choice + i * n;
+        uint8_t *sec_i = secure + i * n;
+        uint8_t *any_i = any_secure + i * n;
+        /* rows from level 1 on, forward: a row's candidates sit one
+         * level below it, so sec_i[c] is final before the row reads it */
+        for (int64_t r = level_pool[level_ptr[k] + 1]; r < reach; r++) {
+            int64_t s = ip[r];
+            int64_t hi = ip[r + 1];
+            if (hi <= s)
+                continue;
+            int32_t u = order[r];
+            uint64_t min_all = UINT64_MAX;
+            uint64_t min_sec = UINT64_MAX;
+            int any_sec = 0;
+            for (int64_t e = s; e < hi; e++) {
+                uint64_t key = keys[e];
+                if (key < min_all)
+                    min_all = key;
+                if (sec_i[cands[e]]) {
+                    any_sec = 1;
+                    if (key < min_sec)
+                        min_sec = key;
+                }
             }
+            any_i[u] = (uint8_t)any_sec;
+            uint64_t kmin =
+                (node_secure[u] && breaks_ties[u] && any_sec) ? min_sec : min_all;
+            int32_t c = cands[s + (int64_t)(kmin & POS_MASK)];
+            choice_i[u] = c;
+            sec_i[u] = (uint8_t)(node_secure[u] && sec_i[c]);
         }
-        any_secure[b * n + u] = (uint8_t)any_sec;
-        uint64_t kmin =
-            (node_secure[u] && breaks_ties[u] && any_sec) ? min_sec : min_all;
-        int32_t c = cands[s + (int64_t)(kmin & POS_MASK)];
-        choice[b * n + u] = c;
-        /* c sits one level below u: srow[c] was resolved by an earlier
-         * level, never by this loop, so the read/write never alias. */
-        secure[b * n + u] = (uint8_t)(node_secure[u] && srow[c]);
     }
 }
 
-void sbgp_weights_level(
-    int64_t num_nodes,
-    const int32_t *nodes, const int32_t *node_b, const int32_t *choice,
-    const double *node_weights, int64_t n, double *w)
+void sbgp_weights_slots(
+    int64_t num_slots, int64_t n, const int64_t *slots,
+    const int64_t *order_ptr, const int32_t *order_pool,
+    const int64_t *level_ptr, const int32_t *level_pool,
+    const int32_t *choice, const double *node_weights, double *w)
 {
-    for (int64_t r = 0; r < num_nodes; r++) {
-        int64_t u = nodes[r];
-        int64_t b = node_b[r];
-        int32_t p = choice[b * n + u];
-        /* Parents sit one level up, so w[b*n+p] is only *written* here
-         * and only *read* when the next (shallower) level runs; with
-         * 0.0 + x == x exactly, child-by-child accumulation matches
-         * numpy's bincount sum bit for bit. */
-        if (p >= 0)
-            w[b * n + p] += w[b * n + u] + node_weights[u];
+    for (int64_t i = 0; i < num_slots; i++) {
+        int64_t k = slots[i];
+        const int32_t *order = order_pool + order_ptr[k];
+        const int32_t *lev = level_pool + level_ptr[k];
+        const int32_t *choice_i = choice + i * n;
+        double *w_i = w + i * n;
+        /* Deepest level first, rows in order within a level: parents sit
+         * one level up, so w_i[p] is only *written* while its children's
+         * level runs; with 0.0 + x == x exactly, child-by-child
+         * accumulation matches numpy's bincount sum bit for bit. */
+        for (int64_t lvl = level_ptr[k + 1] - level_ptr[k] - 2; lvl > 0; lvl--) {
+            for (int64_t r = lev[lvl]; r < lev[lvl + 1]; r++) {
+                int32_t u = order[r];
+                int32_t p = choice_i[u];
+                if (p >= 0)
+                    w_i[p] += w_i[u] + node_weights[u];
+            }
+        }
     }
 }
 
@@ -550,13 +572,19 @@ def _load_library() -> ctypes.CDLL:
         lib = ctypes.CDLL(str(_build_shared_object()))
     except OSError as exc:  # dlopen failure
         raise BackendUnavailable(f"cannot load compiled kernels: {exc}") from exc
-    for name in ("sbgp_structure_build", "sbgp_trees_level",
-                 "sbgp_weights_level", "sbgp_fixpoint_sweep",
+    for name in ("sbgp_structure_build", "sbgp_trees_slots",
+                 "sbgp_weights_slots", "sbgp_fixpoint_sweep",
                  "sbgp_attack_sweep"):
         fn = getattr(lib, name)
         fn.restype = None
     lib.sbgp_structure_build.argtypes = (
         [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 17
+    )
+    lib.sbgp_trees_slots.argtypes = (
+        [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 15
+    )
+    lib.sbgp_weights_slots.argtypes = (
+        [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 8
     )
     return lib
 
@@ -617,27 +645,60 @@ def structure_build(dests, cust_indptr, cust_idx, peer_indptr, peer_idx,
     )
 
 
-def trees_level(nodes, sizes, starts, row_of_edge, cands, keys, node_b,
+def _check_slots(slots, tables, rows, n: int) -> None:
+    """The C code trusts its indices: reject what would read out of bounds.
+
+    ``tables`` are the arena ``*_ptr`` offset tables the kernel indexes
+    by slot; ``rows`` the ``[len(slots), n]`` output and input matrices.
+    """
+    num = len(tables[0]) - 1
+    if any(len(ptr) != num + 1 for ptr in tables):
+        raise ValueError("slot kernel offset tables disagree on the slot count")
+    if len(slots) and (int(slots.min()) < 0 or int(slots.max()) >= num):
+        raise ValueError(f"slot kernel slots outside [0, {num})")
+    for name, arr in rows.items():
+        if arr.shape != (len(slots), n):
+            raise ValueError(
+                f"slot kernel {name} has shape {arr.shape}, expected "
+                f"{(len(slots), n)}"
+            )
+
+
+def trees_slots(slots, order_ptr, order_pool, level_ptr, level_pool,
+                indptr_ptr, indptr_pool, cand_ptr, cands_pool, keys_pool,
                 node_secure, breaks_ties, choice, secure, any_secure):
-    """Resolve one stacked path-length level (row_of_edge unused here)."""
-    _LIB.sbgp_trees_level(
-        _I64(len(nodes)),
-        _ptr(nodes, np.int32), _ptr(sizes, np.int64), _ptr(starts, np.int64),
-        _ptr(cands, np.int32), _ptr(keys, np.uint64), _ptr(node_b, np.int32),
+    """Resolve the trees of a slot list in one call."""
+    n = len(node_secure)
+    if len(breaks_ties) != n:
+        raise ValueError("slot kernel node_secure/breaks_ties lengths differ")
+    _check_slots(
+        slots, (order_ptr, level_ptr, indptr_ptr, cand_ptr),
+        {"choice": choice, "secure": secure, "any_secure": any_secure}, n,
+    )
+    _LIB.sbgp_trees_slots(
+        _I64(len(slots)), _I64(n), _ptr(slots, np.int64),
+        _ptr(order_ptr, np.int64), _ptr(order_pool, np.int32),
+        _ptr(level_ptr, np.int64), _ptr(level_pool, np.int32),
+        _ptr(indptr_ptr, np.int64), _ptr(indptr_pool, np.int64),
+        _ptr(cand_ptr, np.int64), _ptr(cands_pool, np.int32),
+        _ptr(keys_pool, np.uint64),
         _ptr(node_secure, np.bool_), _ptr(breaks_ties, np.bool_),
-        _I64(choice.shape[1]),
         _ptr(choice, np.int32), _ptr(secure, np.bool_),
         _ptr(any_secure, np.bool_),
     )
 
 
-def weights_level(nodes, node_b, choice, node_weights, w):
-    """Push one level's subtree weights up to the chosen parents."""
-    _LIB.sbgp_weights_level(
-        _I64(len(nodes)),
-        _ptr(nodes, np.int32), _ptr(node_b, np.int32),
+def weights_slots(slots, order_ptr, order_pool, level_ptr, level_pool,
+                  choice, node_weights, w):
+    """Push subtree weights up a slot list's trees in one call."""
+    n = len(node_weights)
+    _check_slots(slots, (order_ptr, level_ptr), {"choice": choice, "w": w}, n)
+    _LIB.sbgp_weights_slots(
+        _I64(len(slots)), _I64(n), _ptr(slots, np.int64),
+        _ptr(order_ptr, np.int64), _ptr(order_pool, np.int32),
+        _ptr(level_ptr, np.int64), _ptr(level_pool, np.int32),
         _ptr(choice, np.int32), _ptr(node_weights, np.float64),
-        _I64(w.shape[1]), _ptr(w, np.float64),
+        _ptr(w, np.float64),
     )
 
 

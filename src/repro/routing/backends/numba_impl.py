@@ -12,13 +12,15 @@ histogram makes the difference visible.
 Numba is an optional dependency (the ``compiled`` extra); when it is
 missing the import below raises ``ImportError`` and the registry
 degrades the caller to numpy through the ``compiled_to_numpy`` ladder
-rung.
+rung.  A typing error while warming is re-raised as ``RuntimeError``,
+which the registry degrades the same way.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numba import njit  # ImportError here == backend unavailable
+from numba.core.errors import NumbaError
 
 from repro.routing.backends import _loops
 
@@ -27,14 +29,14 @@ _jit = njit(cache=True, fastmath=False, nogil=True)
 # structure_build calls _tie_keys_block through _loops' module globals,
 # so the helper is rebound to its Dispatcher first (see the sweeps below).
 # It is the one kernel _warm_up leaves out: it compiles on first call,
-# so a typing error there cannot fail the load of the other four.  The
-# registry spec leaves ``structure_warm`` off for this tier, so only a
-# direct StructureBuild (the parity tests) reaches it.
+# so a typing error there cannot degrade the other four.  The registry
+# spec leaves ``structure_warm`` off for this tier, so only a direct
+# StructureBuild (the parity tests) reaches it.
 if not hasattr(_loops._tie_keys_block, "py_func"):
     _loops._tie_keys_block = _jit(_loops._tie_keys_block)
 structure_build = _jit(_loops.structure_build)
-trees_level = _jit(_loops.trees_level)
-weights_level = _jit(_loops.weights_level)
+trees_slots = _jit(_loops.trees_slots)
+weights_slots = _jit(_loops.weights_slots)
 # fixpoint_sweep calls _edge_key through _loops' module globals (and
 # attack_sweep calls _attack_edge_key the same way), so the helpers must
 # be rebound to their Dispatchers *in that namespace* before the sweeps
@@ -49,26 +51,32 @@ attack_sweep = _jit(_loops.attack_sweep)
 
 
 def _warm_up() -> None:
-    """Compile the four level/sweep kernels on minimal dtype-exact inputs."""
+    """Compile the slot and sweep kernels on minimal dtype-exact inputs."""
     n = 2
-    nodes = np.zeros(1, dtype=np.int32)
-    sizes = np.ones(1, dtype=np.int64)
-    starts = np.zeros(1, dtype=np.int64)
-    row_of_edge = np.zeros(1, dtype=np.int64)
-    cands = np.ones(1, dtype=np.int32)
-    keys = np.zeros(1, dtype=np.uint64)
-    node_b = np.zeros(1, dtype=np.int32)
+    # one slot: destination 0, row 1 (node 1) at level 1 choosing node 0
+    slots = np.zeros(1, dtype=np.int64)
+    order_ptr = np.array([0, 2], dtype=np.int64)
+    order_pool = np.array([0, 1], dtype=np.int32)
+    level_ptr = np.array([0, 3], dtype=np.int64)
+    level_pool = np.array([0, 1, 2], dtype=np.int32)
+    indptr_ptr = np.array([0, 3], dtype=np.int64)
+    indptr_pool = np.array([0, 0, 1], dtype=np.int64)
+    cand_ptr = np.array([0, 1], dtype=np.int64)
+    cands_pool = np.zeros(1, dtype=np.int32)
+    keys_pool = np.zeros(1, dtype=np.uint64)
     node_secure = np.zeros(n, dtype=np.bool_)
     breaks_ties = np.zeros(n, dtype=np.bool_)
     choice = np.full((1, n), -1, dtype=np.int32)
     secure = np.zeros((1, n), dtype=np.bool_)
     any_secure = np.zeros((1, n), dtype=np.bool_)
-    trees_level(nodes, sizes, starts, row_of_edge, cands, keys, node_b,
+    trees_slots(slots, order_ptr, order_pool, level_ptr, level_pool,
+                indptr_ptr, indptr_pool, cand_ptr, cands_pool, keys_pool,
                 node_secure, breaks_ties, choice, secure, any_secure)
 
     w = np.zeros((1, n), dtype=np.float64)
     node_weights = np.zeros(n, dtype=np.float64)
-    weights_level(nodes, node_b, choice, node_weights, w)
+    weights_slots(slots, order_ptr, order_pool, level_ptr, level_pool,
+                  choice, node_weights, w)
 
     u = np.zeros(1, dtype=np.int32)
     v = np.ones(1, dtype=np.int32)
@@ -106,4 +114,7 @@ def _warm_up() -> None:
                  new_cls, new_len, new_sec, new_att)
 
 
-_warm_up()
+try:
+    _warm_up()
+except NumbaError as exc:  # the registry degrades RuntimeError, not this
+    raise RuntimeError(f"numba kernels failed to compile: {exc}") from exc

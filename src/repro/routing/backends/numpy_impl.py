@@ -12,9 +12,13 @@ backend has a fixed point of comparison: the parity suite asserts
 numerics here — a change to operation order is a change to the ground
 truth.
 
-All five kernels share the calling convention documented in
-:mod:`repro.routing.backends._loops` (same signatures, same dtypes,
-outputs written in place).
+The kernels share the calling convention documented in
+:mod:`repro.routing.backends._loops` (same dtypes, outputs written in
+place).  The one difference is the tree resolve: the loop tiers take a
+whole slot list per call (``trees_slots`` / ``weights_slots``), while
+numpy takes one stacked global level per call (``trees_level`` /
+``weights_level``) — vectorising across destinations is what makes
+numpy fast, and a per-slot walk is what makes a loop fast.
 """
 
 from __future__ import annotations

@@ -252,7 +252,7 @@ class ASGraph:
 
     def indices_with_role(self, role: ASRole) -> list[int]:
         """Dense indices of all ASes with the given role."""
-        return [i for i in range(self.n) if self.roles[i] == role]
+        return np.flatnonzero(self.roles == int(role)).tolist()
 
     @property
     def stub_indices(self) -> list[int]:
