@@ -150,7 +150,7 @@ def local_project_flip(
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     if turning_on:
-        stubs = deriver.newly_secured_stubs(rd.state, isp)
+        stubs = deriver.newly_secured_stubs(rd.state, isp, rd.node_secure)
         flips: dict[int, bool] = {isp: True, **{s: True for s in stubs}}
     else:
         stubs = deriver.orphaned_stubs(rd.state, isp)

@@ -80,7 +80,7 @@ def project_flip(
     """Projected utility of ``isp`` if it flipped its action this round."""
     graph = cache.graph
     if turning_on:
-        stubs = deriver.newly_secured_stubs(rd.state, isp)
+        stubs = deriver.newly_secured_stubs(rd.state, isp, rd.node_secure)
         flips: dict[int, bool] = {isp: True}
         flips.update({s: True for s in stubs})
     else:
@@ -242,15 +242,15 @@ def _recompute_dest_states(
     """Yield ``(pos, DestState)`` for fully recomputed destinations.
 
     When the cache carries a :class:`~repro.routing.arena.RoutingArena`
-    (the normal case after the first round), all requested destinations
-    are resolved in a single call of the batched kernel; the
-    per-destination loop below is the fallback for caches warmed without
-    an arena.
+    (the normal case after the first round), the requested destinations
+    are resolved in a single call of the batched kernel, however few;
+    the per-destination loop below is the fallback for caches warmed
+    without an arena.
     """
     if not positions:
         return
     arena = cache.arena
-    if arena is not None and len(positions) > 1:
+    if arena is not None:
         slots = np.asarray(positions, dtype=np.int64)
         bt = compute_trees_batched(arena, slots, node_secure_new, breaks_new)
         w2d = subtree_weights_batched(arena, slots, bt.choice, node_weights)

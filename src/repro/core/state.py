@@ -117,9 +117,18 @@ class StateDeriver:
         members = gather_neighbors(cust.cust_indptr, cust.cust_idx, np.array([isp]))
         return members[self.is_stub[members]]
 
-    def newly_secured_stubs(self, state: DeploymentState, isp: int) -> list[int]:
-        """Stubs that would *become* secure if ``isp`` deployed."""
-        secure = self.node_secure(state)
+    def newly_secured_stubs(
+        self,
+        state: DeploymentState,
+        isp: int,
+        node_secure: np.ndarray | None = None,
+    ) -> list[int]:
+        """Stubs that would *become* secure if ``isp`` deployed.
+
+        ``node_secure`` is ``self.node_secure(state)`` when the caller
+        already holds it (a round does); otherwise it is derived here.
+        """
+        secure = self.node_secure(state) if node_secure is None else node_secure
         return [int(s) for s in self.stubs_of(isp) if not secure[s]]
 
     def orphaned_stubs(self, state: DeploymentState, isp: int) -> list[int]:

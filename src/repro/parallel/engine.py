@@ -719,7 +719,7 @@ def parallel_warm_cache(cache, workers: int = 1, transport: str = "auto") -> Non
     num_partitions = None
     if isinstance(engine, ProcessEngine):
         engine, num_partitions = _plan_warm_engine(
-            guard, engine, len(todo), cache.graph.n
+            guard, engine, len(todo), cache.graph.n, cache.backend_name
         )
     start = time.perf_counter()
     multi = (
@@ -754,7 +754,7 @@ def parallel_warm_cache(cache, workers: int = 1, transport: str = "auto") -> Non
 
 
 def _plan_warm_engine(
-    guard, engine: ProcessEngine, num_dests: int, n: int
+    guard, engine: ProcessEngine, num_dests: int, n: int, backend: str
 ) -> tuple[MapReduceEngine, int | None]:
     """Fit the warm map's partition count and worker count to the budget.
 
@@ -771,7 +771,7 @@ def _plan_warm_engine(
         return engine, None
     from repro.routing.arena import RoutingArena
 
-    total = RoutingArena.estimate_bytes(num_dests, n)
+    total = RoutingArena.estimate_bytes(num_dests, n, backend=backend)
     per_dest = max(1, total // num_dests)
     share = guard.memory.headroom() // _WARM_SHARE_DIVISOR
     num_parts = partitions_for_budget(num_dests, default_parts, per_dest, share)

@@ -28,12 +28,18 @@ On top of the pools, :func:`compute_trees_batched` resolves *many*
 destinations per call.  On a loop tier (``python``, numba, cext) one
 ``trees_slots`` call walks each requested destination's own pool
 segments.  On numpy, same-path-length segments are stacked across
-destinations (a level-major mirror of the pools, built lazily and only
-on this tier), so the Python-level loop runs over the handful of
-**global** levels instead of ``n_dests x n_levels``.  Candidates always
-sit one level below their row's node, so interleaving destinations
-within a level is safe — each destination still sees its own
-already-resolved previous level.
+destinations (:class:`_LevelMajor`, a level-major mirror of the pools
+built once, lazily and only on this tier), so the Python-level loop
+runs over the handful of **global** levels instead of
+``n_dests x n_levels``.  Each call first makes its *plan*, the
+per-level kernel inputs for its slot list (:meth:`RoutingArena._plan`):
+views of the mirror for the full slot set, one gather over all levels
+for any other list.  The plan addresses the ``[B, n]`` output matrices
+by flat ``row * n + node`` indices, so the kernels index one flat view
+instead of pairing row and column vectors.  Candidates always sit one
+level below their row's node, so interleaving destinations within a
+level is safe — each destination still sees its own already-resolved
+previous level.
 
 :class:`StructureBuild` fills an arena without per-destination
 objects: the backend's ``structure_build`` kernel writes each chunk of
@@ -51,13 +57,14 @@ plane in :mod:`repro.parallel.shm` ships between processes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections import deque
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.routing import backends as kernel_backends
-from repro.routing.compiled import CompiledGraph, gather_neighbors
+from repro.routing.compiled import CompiledGraph, segment_positions
 from repro.routing.fast_tree import RoutingTree
 from repro.routing.tree import DestRouting, compute_tie_keys
 from repro.telemetry.metrics import get_registry
@@ -96,25 +103,57 @@ def _concat_with_ptr(arrays: list[np.ndarray], dtype) -> tuple[np.ndarray, np.nd
     return pool, ptr
 
 
-@dataclasses.dataclass
-class _LevelSlice:
-    """Level-major stacked layout for one global path-length level.
+#: one global level of a batch, as the numpy kernels take it: ``nodes``
+#: (int32), ``node_flat`` (``row * n + node``), ``starts`` (each node's
+#: first edge), ``row_of_edge`` (each edge's node), ``keys`` (uint64
+#: tie-break keys) and ``edge_flat`` (``row * n + candidate``), where
+#: ``row`` is the batch row; ``starts`` / ``row_of_edge`` count from
+#: the level's first edge / node.  Weights plans carry only the first
+#: two fields.
+_LevelPlan = tuple[np.ndarray, ...]
 
-    ``node_ptr`` / ``edge_ptr`` are per-destination-slot segment tables
-    (length ``num_dests + 1``) into the stacked arrays, so a *subset*
-    of destinations extracts its stack with one vectorised gather.
+
+@dataclasses.dataclass
+class _LevelMajor:
+    """The numpy tier's level-major mirror of the pools.
+
+    Every field is one stack over all global levels (level 1 first,
+    slots in order within a level).  ``ptr[0, l, k]:ptr[0, l, k+1]`` is
+    slot ``k``'s segment of global level ``l + 1`` in the node stacks
+    and ``ptr[1]`` the same for the edge stacks, so level ``l`` is
+    ``ptr[0, l, 0]:ptr[0, l, -1]``.  The flat indices address the
+    ``[num_dests, n]`` matrices of a full-set batch (batch row = slot);
+    a subset shifts them to its own rows.  Candidates are not stored:
+    ``edge_flat - slot * n`` gives them back.
     """
 
-    node_ptr: np.ndarray   # int64[num_dests + 1]
-    nodes: np.ndarray      # int32; global node ids, stacked by slot
-    sizes: np.ndarray      # int64; tiebreak-set size per stacked node
-    edge_ptr: np.ndarray   # int64[num_dests + 1]
-    cands: np.ndarray      # int32; stacked candidate node ids
-    keys: np.ndarray       # uint64; stacked tie-break keys
-    # full-set fast path (slots == arange(num_dests)):
-    node_slot: np.ndarray  # int32; destination slot per stacked node
-    starts: np.ndarray     # int64; reduceat starts per stacked node
-    row_of_edge: np.ndarray  # int64; stacked-node row per stacked edge
+    ptr: np.ndarray          # int64[2, num_levels, num_dests + 1]
+    nodes: np.ndarray        # int32; global node id per stacked node
+    node_flat: np.ndarray    # int64; slot * n + node
+    starts: np.ndarray       # int64; first edge per node, level-relative
+    row_of_edge: np.ndarray  # int32; node per edge, level-relative
+    keys: np.ndarray         # uint64; tie-break key per stacked edge
+    edge_flat: np.ndarray    # int64; slot * n + candidate
+
+    @property
+    def num_levels(self) -> int:
+        return self.ptr.shape[1]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(
+            getattr(self, f.name).nbytes for f in dataclasses.fields(self)
+        )
+
+    @functools.cached_property
+    def full_plan(self) -> list[_LevelPlan]:
+        """Per-level views of the stacks: the plan of the full slot set."""
+        (lo, e_lo), (hi, e_hi) = self.ptr[:, :, 0], self.ptr[:, :, -1]
+        return [
+            (self.nodes[a:b], self.node_flat[a:b], self.starts[a:b],
+             self.row_of_edge[c:d], self.keys[c:d], self.edge_flat[c:d])
+            for a, b, c, d in zip(lo, hi, e_lo, e_hi)
+        ]
 
 
 @dataclasses.dataclass
@@ -171,7 +210,7 @@ class RoutingArena:
             if str(arr.dtype) != dtype:
                 raise ValueError(f"arena field {name}: expected {dtype}, got {arr.dtype}")
             setattr(self, name, arr)
-        self._levels: list[_LevelSlice] | None = None
+        self._mirror: _LevelMajor | None = None
         self._full_slots = np.arange(self.num_dests, dtype=np.int64)
 
     # -- construction --------------------------------------------------
@@ -266,7 +305,7 @@ class RoutingArena:
         n: int,
         avg_reach_fraction: float = 1.0,
         avg_cands_per_node: float = 1.5,
-        include_level_major: bool = True,
+        backend: str = "numpy",
     ) -> int:
         """Predict the pooled footprint of an arena *before* building it.
 
@@ -285,12 +324,10 @@ class RoutingArena:
 
         ``avg_reach_fraction`` scales the per-destination reach (1.0 =
         every node reaches every destination, the connected-graph
-        worst case).  ``include_level_major`` also counts the stacked
-        level-major mirror the numpy tier's batched kernel builds lazily
-        (roughly a second copy of the CSR pools) — on numpy that mirror
-        is resident during every round, so planning without it would
-        undercount by ~2x; the loop tiers never build it, so for them
-        the forecast errs high.
+        worst case).  When ``backend`` resolves to the numpy tier the
+        forecast also counts the level-major mirror that tier builds on
+        its first batched call and keeps for the arena's lifetime; the
+        loop tiers resolve straight from the pools and never build it.
         """
         if num_dests < 0 or n < 0:
             raise ValueError("num_dests and n must be >= 0")
@@ -302,15 +339,16 @@ class RoutingArena:
         tables = 5 * 8 * (num_dests + 1) + 4 * num_dests
         level_pool = 4 * num_dests * 24    # level_starts: one int32 per level
         total = dense + csr_pools + cand_pools + tables + level_pool
-        if include_level_major:
-            # nodes/sizes/cands/keys/starts/node_slot/row_of_edge stacks,
-            # plus the per-level node_ptr/edge_ptr segment tables (two
-            # int64[num_dests+1] per level; 24 levels matches the
-            # level_pool allowance above).  The tables are what grows
-            # with num_dests alone, so at paper scale (36K dests) they
-            # are no longer noise — re-validated at N=36964 by
-            # tests/runtime/test_guard_chaos.py.
-            total += reach * (4 + 8 + 8 + 4) + cands * (4 + 8 + 8)
+        _, kernels = kernel_backends.kernels_for(backend)
+        if not hasattr(kernels, "trees_slots"):
+            # nodes int32 + node_flat/starts int64 per reachable node,
+            # row_of_edge int32 + keys/edge_flat 64-bit per candidate,
+            # plus the two int64[24, num_dests + 1] level tables (24
+            # levels matches the level_pool allowance above).  The
+            # tables are what grows with num_dests alone, so at paper
+            # scale (36K dests) they are no longer noise — re-validated
+            # at N=36964 by tests/runtime/test_guard_chaos.py.
+            total += reach * (4 + 8 + 8) + cands * (4 + 8 + 8)
             total += 2 * 8 * (num_dests + 1) * 24
         return int(total)
 
@@ -386,73 +424,127 @@ class RoutingArena:
 
     # -- the batched kernel --------------------------------------------
 
-    def _level_major(self) -> list[_LevelSlice]:
-        """Build (once) the level-major stacked layout over all slots.
+    def _level_major(self) -> _LevelMajor:
+        """Build (once) the level-major mirror of the pools.
 
         Only the numpy tier reads it; the loop tiers resolve straight
-        from the pools.
+        from the pools.  One vectorised pass: every (slot, level >= 1)
+        segment, ordered by level and then slot, gathered from the pools.
         """
-        if self._levels is not None:
-            return self._levels
-        num = self.num_dests
-        max_levels = 0
-        for k in range(num):
-            max_levels = max(max_levels, int(self.level_ptr[k + 1] - self.level_ptr[k]) - 1)
-        levels: list[_LevelSlice] = []
-        for level in range(1, max_levels):
-            node_chunks: list[np.ndarray] = []
-            size_chunks: list[np.ndarray] = []
-            cand_chunks: list[np.ndarray] = []
-            key_chunks: list[np.ndarray] = []
-            node_ptr = np.zeros(num + 1, dtype=np.int64)
-            edge_ptr = np.zeros(num + 1, dtype=np.int64)
-            for k in range(num):
-                l_lo, l_hi = int(self.level_ptr[k]), int(self.level_ptr[k + 1])
-                n_levels = l_hi - l_lo - 1
-                if level >= n_levels:
-                    node_ptr[k + 1] = node_ptr[k]
-                    edge_ptr[k + 1] = edge_ptr[k]
-                    continue
-                lo = int(self.level_pool[l_lo + level])
-                hi = int(self.level_pool[l_lo + level + 1])
-                o_lo = int(self.order_ptr[k])
-                i_lo = int(self.indptr_ptr[k])
-                c_lo = int(self.cand_ptr[k])
-                indptr = self.indptr_pool[i_lo + lo:i_lo + hi + 1]
-                seg_lo, seg_hi = int(indptr[0]), int(indptr[-1])
-                node_chunks.append(self.order_pool[o_lo + lo:o_lo + hi])
-                size_chunks.append(np.diff(indptr))
-                cand_chunks.append(self.cands_pool[c_lo + seg_lo:c_lo + seg_hi])
-                key_chunks.append(self.keys_pool[c_lo + seg_lo:c_lo + seg_hi])
-                node_ptr[k + 1] = node_ptr[k] + (hi - lo)
-                edge_ptr[k + 1] = edge_ptr[k] + (seg_hi - seg_lo)
-            nodes, _ = _concat_with_ptr(node_chunks, np.int32)
-            sizes, _ = _concat_with_ptr(size_chunks, np.int64)
-            cands, _ = _concat_with_ptr(cand_chunks, np.int32)
-            keys, _ = _concat_with_ptr(key_chunks, np.uint64)
-            counts = np.diff(node_ptr)
-            node_slot = np.repeat(
-                np.arange(num, dtype=np.int32), counts
+        if self._mirror is not None:
+            return self._mirror
+        num, n = self.num_dests, self.graph_n
+        # one segment per (level >= 1, slot reaching it), level-major;
+        # level 0 is the destination itself and needs no resolving, and
+        # seg_level counts from 0 at level 1
+        per_slot = np.diff(self.level_ptr) - 2
+        num_levels = max(int(per_slot.max()), 0) if num else 0
+        reached = np.arange(num_levels)[:, None] < per_slot
+        seg_level, seg_slot = np.nonzero(reached)
+        first = self.level_ptr[seg_slot] + seg_level + 1
+        row_lo = self.level_pool[first].astype(np.int64)
+        node_len = self.level_pool[first + 1] - row_lo
+        i_lo = self.indptr_ptr[seg_slot] + row_lo
+        edge_lo = self.indptr_pool[i_lo]
+        edge_len = self.indptr_pool[i_lo + node_len] - edge_lo
+        # [2, num_levels, num + 1] node / edge offsets of the segments
+        counts = np.zeros((2, reached.size + 1), dtype=np.int64)
+        counts[:, 1 + np.flatnonzero(reached)] = node_len, edge_len
+        ptr = np.cumsum(counts, axis=1)[
+            :, np.arange(num_levels)[:, None] * num + np.arange(num + 1)
+        ]
+        node_level_lo, edge_level_lo = ptr[:, :, 0]
+
+        o_lo = self.order_ptr[seg_slot] + row_lo
+        nodes = self.order_pool[segment_positions(o_lo, node_len)]
+        node_flat = np.repeat(seg_slot * n, node_len)
+        node_flat += nodes
+        ip = segment_positions(i_lo, node_len)
+        sizes = self.indptr_pool[ip + 1] - self.indptr_pool[ip]
+        del ip
+        # each node's first edge, and each edge's node, counted from the
+        # start of the node's level
+        level_of_node = np.repeat(seg_level, node_len)
+        starts = np.cumsum(sizes)
+        starts -= sizes
+        starts -= edge_level_lo[level_of_node]
+        row = np.arange(len(nodes), dtype=np.int64)
+        row -= node_level_lo[level_of_node]
+        del level_of_node
+        row_of_edge = np.repeat(row.astype(np.int32), sizes)
+        del row, sizes
+        edges = segment_positions(edge_lo + self.cand_ptr[seg_slot], edge_len)
+        keys = self.keys_pool[edges]
+        edge_flat = np.repeat(seg_slot * n, edge_len)
+        edge_flat += self.cands_pool[edges]
+        self._mirror = _LevelMajor(
+            ptr=ptr,
+            nodes=nodes,
+            node_flat=node_flat,
+            starts=starts,
+            row_of_edge=row_of_edge,
+            keys=keys,
+            edge_flat=edge_flat,
+        )
+        return self._mirror
+
+    def _plan(self, slots: np.ndarray, edges: bool = True) -> list[_LevelPlan]:
+        """The numpy kernels' per-level inputs for batch ``slots``.
+
+        The full slot set gets views of the mirror.  Any other slot list
+        (unsorted, repeated, a permutation, a chunk) is gathered out of
+        the mirror in one pass over all levels, then sliced per level;
+        its flat indices move from slot rows to batch rows.  ``edges``
+        False leaves out what only the tree resolve reads.
+        """
+        mirror = self._level_major()
+        B = len(slots)
+        if B == self.num_dests and np.array_equal(slots, self._full_slots):
+            plan = mirror.full_plan
+            return plan if edges else [level[:2] for level in plan]
+        if not B or not mirror.num_levels:
+            return []
+        n = self.graph_n
+        # [T, L, B] segments: nodes, then (for trees) edges
+        ptr = mirror.ptr if edges else mirror.ptr[:1]
+        seg_lo = ptr[:, :, slots]
+        length = ptr[:, :, slots + 1] - seg_lo
+        counts = length.ravel()
+        pos = segment_positions(seg_lo.ravel(), counts)
+        # flat indices move from slot rows to batch rows
+        seg_shift = np.empty_like(length)
+        seg_shift[...] = (np.arange(B) - slots) * n
+        row_shift = np.repeat(seg_shift.ravel(), counts)
+        bounds = np.zeros((len(ptr), mirror.num_levels + 1), dtype=np.int64)
+        np.cumsum(length.sum(axis=2), axis=1, out=bounds[:, 1:])
+        split = int(bounds[0, -1])
+        idx = pos[:split]
+        nodes = mirror.nodes.take(idx)
+        node_flat = mirror.node_flat.take(idx) + row_shift[:split]
+        node_bounds = bounds[0].tolist()
+        if not edges:
+            return [
+                (nodes[lo:hi], node_flat[lo:hi])
+                for lo, hi in zip(node_bounds[:-1], node_bounds[1:]) if hi > lo
+            ]
+        eidx = pos[split:]
+        # each segment's level-relative start in the batch minus that in
+        # the mirror: edge shifts move ``starts``, node shifts ``row_of_edge``
+        shift = np.cumsum(length, axis=2) - length - (seg_lo - ptr[:, :, :1])
+        shift = np.repeat(shift[::-1].ravel(), counts)
+        starts = mirror.starts.take(idx) + shift[:split]
+        row_of_edge = mirror.row_of_edge.take(eidx) + shift[split:]
+        keys = mirror.keys.take(eidx)
+        edge_flat = mirror.edge_flat.take(eidx) + row_shift[split:]
+        edge_bounds = bounds[1].tolist()
+        return [
+            (nodes[lo:hi], node_flat[lo:hi], starts[lo:hi],
+             row_of_edge[e_lo:e_hi], keys[e_lo:e_hi], edge_flat[e_lo:e_hi])
+            for lo, hi, e_lo, e_hi in zip(
+                node_bounds[:-1], node_bounds[1:], edge_bounds[:-1], edge_bounds[1:]
             )
-            starts = np.zeros(len(nodes), dtype=np.int64)
-            if len(nodes):
-                np.cumsum(sizes[:-1], out=starts[1:])
-            row_of_edge = np.repeat(np.arange(len(nodes), dtype=np.int64), sizes)
-            levels.append(
-                _LevelSlice(
-                    node_ptr=node_ptr,
-                    nodes=nodes,
-                    sizes=sizes,
-                    edge_ptr=edge_ptr,
-                    cands=cands,
-                    keys=keys,
-                    node_slot=node_slot,
-                    starts=starts,
-                    row_of_edge=row_of_edge,
-                )
-            )
-        self._levels = levels
-        return levels
+            if hi > lo
+        ]
 
     def all_slots(self) -> np.ndarray:
         """``arange(num_dests)`` — the full-batch slot vector."""
@@ -691,10 +783,10 @@ def compute_trees_batched(
     ``tests/routing/test_arena.py``).  Dispatches through the arena's
     kernel backend (:mod:`repro.routing.backends`): a loop tier's
     ``trees_slots`` resolves the whole slot list in one call, walking
-    each destination's own pool segments; ``numpy`` stacks the segments
-    of every batched destination level by level (the lazily built
-    level-major mirror) and resolves each global level with one set of
-    numpy segment operations.  All backends are bit-identical (asserted
+    each destination's own pool segments; ``numpy`` makes the call's
+    plan (:meth:`RoutingArena._plan`, over the lazily built level-major
+    mirror) and resolves each global level of it with one set of numpy
+    segment operations.  All backends are bit-identical (asserted
     by ``tests/routing/test_backends.py`` and
     ``tests/routing/test_resolve_slots.py``).
     """
@@ -724,8 +816,10 @@ def compute_trees_batched(
             node_secure, breaks_ties, choice, secure, any_secure,
         )
     else:
-        _trees_stacked(arena, slots, kernels, node_secure, breaks_ties,
-                       choice, secure, any_secure)
+        for level in arena._plan(slots):
+            kernels.trees_level(
+                *level, node_secure, breaks_ties, choice, secure, any_secure
+            )
 
     return BatchedTrees(
         dest_ids=dest_ids,
@@ -734,42 +828,6 @@ def compute_trees_batched(
         secure=secure,
         any_secure=any_secure,
     )
-
-
-def _trees_stacked(arena, slots, kernels, node_secure, breaks_ties,
-                   choice, secure, any_secure) -> None:
-    """The numpy tier: resolve ``slots`` one stacked global level at a time.
-
-    The full slot set reads the level-major stacks as built; a subset
-    gathers its segments out of them.
-    """
-    B = len(slots)
-    full = B == arena.num_dests and np.array_equal(slots, arena.all_slots())
-    for lvl in arena._level_major():
-        if full:
-            nodes, sizes = lvl.nodes, lvl.sizes
-            cands, keys = lvl.cands, lvl.keys
-            node_b = lvl.node_slot
-            starts, row_of_edge = lvl.starts, lvl.row_of_edge
-        else:
-            nodes = gather_neighbors(lvl.node_ptr, lvl.nodes, slots)
-            if not len(nodes):
-                continue
-            sizes = gather_neighbors(lvl.node_ptr, lvl.sizes, slots)
-            cands = gather_neighbors(lvl.edge_ptr, lvl.cands, slots)
-            keys = gather_neighbors(lvl.edge_ptr, lvl.keys, slots)
-            counts = lvl.node_ptr[slots + 1] - lvl.node_ptr[slots]
-            node_b = np.repeat(np.arange(B, dtype=np.int32), counts)
-            starts = np.zeros(len(nodes), dtype=np.int64)
-            np.cumsum(sizes[:-1], out=starts[1:])
-            row_of_edge = np.repeat(np.arange(len(nodes), dtype=np.int64), sizes)
-        if not len(nodes):
-            continue
-
-        kernels.trees_level(
-            nodes, sizes, starts, row_of_edge, cands, keys, node_b,
-            node_secure, breaks_ties, choice, secure, any_secure,
-        )
 
 
 def subtree_weights_batched(
@@ -804,17 +862,6 @@ def subtree_weights_batched(
             arena.level_pool, choice, weights, w,
         )
         return w
-    full = B == arena.num_dests and np.array_equal(slots, arena.all_slots())
-    for lvl in reversed(arena._level_major()):
-        if full:
-            nodes, node_b = lvl.nodes, lvl.node_slot
-        else:
-            nodes = gather_neighbors(lvl.node_ptr, lvl.nodes, slots)
-            if not len(nodes):
-                continue
-            counts = lvl.node_ptr[slots + 1] - lvl.node_ptr[slots]
-            node_b = np.repeat(np.arange(B, dtype=np.int32), counts)
-        if not len(nodes):
-            continue
-        kernels.weights_level(nodes, node_b, choice, weights, w)
+    for nodes, node_flat in reversed(arena._plan(slots, edges=False)):
+        kernels.weights_level(nodes, node_flat, choice, weights, w)
     return w

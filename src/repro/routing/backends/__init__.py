@@ -8,11 +8,12 @@ exist in multiple implementations ("backends") behind this registry.
 The tree resolver and subtree weights come in two shapes: the loop
 tiers expose ``trees_slots`` / ``weights_slots``, which resolve a whole
 slot list in one call over the arena's pools, and numpy exposes
-``trees_level`` / ``weights_level``, one stacked global level per call
+``trees_level`` / ``weights_level``, one stacked global level of the
+arena's per-call plan at a time
 (:func:`~repro.routing.arena.compute_trees_batched` picks by which the
 tier has):
 
-- ``numpy``: the original vectorised code, moved verbatim into
+- ``numpy``: the vectorised code in
   :mod:`repro.routing.backends.numpy_impl` (its structure build loops
   over :func:`~repro.routing.tree.compute_dest_routing`).  It is the
   **differential ground truth**: every other backend must produce

@@ -2,15 +2,13 @@
 
 The structure build loops over
 :func:`~repro.routing.tree.compute_dest_routing`, which stays the ground
-truth of every per-destination structure.  The rest are the original
-level/sweep bodies of
-``repro.routing.arena.compute_trees_batched``,
+truth of every per-destination structure.  The rest are the level/sweep
+bodies of ``repro.routing.arena.compute_trees_batched``,
 ``repro.routing.arena.subtree_weights_batched`` and
-``repro.routing.fixpoint._sweep``, moved here verbatim so every other
-backend has a fixed point of comparison: the parity suite asserts
-**bit-identical** outputs against this module.  Do not "improve" the
-numerics here — a change to operation order is a change to the ground
-truth.
+``repro.routing.fixpoint._sweep``, kept here so every other backend has
+a fixed point of comparison: the parity suite asserts **bit-identical**
+outputs against this module.  Do not "improve" the numerics here — a
+change to operation order is a change to the ground truth.
 
 The kernels share the calling convention documented in
 :mod:`repro.routing.backends._loops` (same dtypes, outputs written in
@@ -19,6 +17,20 @@ whole slot list per call (``trees_slots`` / ``weights_slots``), while
 numpy takes one stacked global level per call (``trees_level`` /
 ``weights_level``) — vectorising across destinations is what makes
 numpy fast, and a per-slot walk is what makes a loop fast.
+
+A level arrives as the arena's plan hands it out
+(:meth:`~repro.routing.arena.RoutingArena._plan`): ``nodes`` (int32),
+``node_flat`` (int64 ``row * n + node``, ``row`` the batch row),
+``starts`` (int64, each node's first edge), ``row_of_edge`` (each
+edge's node), ``keys`` (uint64 tie-break keys) and ``edge_flat`` (int64
+``row * n + candidate``); ``starts`` / ``row_of_edge`` count from the
+level's first edge / node.  The ``[B, n]`` matrices must be
+C-contiguous: the kernels read and write them through one
+``reshape(-1)`` view with ``take`` and flat assignment, so no call pairs
+a row vector with a column vector.  Trees are integer and boolean
+selection, exact in any indexing; the weights keep one ``np.bincount``
+per level over the ``(row, parent)`` targets in plan order, then
+``w +=``, which fixes every float sum's adding order.
 """
 
 from __future__ import annotations
@@ -90,12 +102,11 @@ def structure_build(
 
 def trees_level(
     nodes: np.ndarray,
-    sizes: np.ndarray,
+    node_flat: np.ndarray,
     starts: np.ndarray,
     row_of_edge: np.ndarray,
-    cands: np.ndarray,
     keys: np.ndarray,
-    node_b: np.ndarray,
+    edge_flat: np.ndarray,
     node_secure: np.ndarray,
     breaks_ties: np.ndarray,
     choice: np.ndarray,
@@ -103,34 +114,35 @@ def trees_level(
     any_secure: np.ndarray,
 ) -> None:
     """Resolve one stacked path-length level of the batched tree kernel."""
-    edge_b = node_b[row_of_edge]
-    csec = secure[edge_b, cands]
+    secure_flat = secure.reshape(-1)
+    csec = secure_flat.take(edge_flat)
     any_sec = np.logical_or.reduceat(csec, starts)
-    any_secure[node_b, nodes] = any_sec
-    use_sec = node_secure[nodes] & breaks_ties[nodes] & any_sec
+    any_secure.reshape(-1)[node_flat] = any_sec
+    ns = node_secure.take(nodes)
+    use_sec = ns & breaks_ties.take(nodes) & any_sec
 
-    key = np.where(csec | ~use_sec[row_of_edge], keys, _BLOCKED)
+    key = np.where(csec | ~use_sec.take(row_of_edge), keys, _BLOCKED)
     kmin = np.minimum.reduceat(key, starts)
     chosen = starts + (kmin & _POS_MASK).astype(np.int64)
-    choice[node_b, nodes] = cands[chosen]
-    secure[node_b, nodes] = node_secure[nodes] & csec[chosen]
+    # a candidate is its flat index less its batch row's base
+    choice.reshape(-1)[node_flat] = edge_flat.take(chosen) - (node_flat - nodes)
+    secure_flat[node_flat] = ns & csec.take(chosen)
 
 
 def weights_level(
     nodes: np.ndarray,
-    node_b: np.ndarray,
+    node_flat: np.ndarray,
     choice: np.ndarray,
     node_weights: np.ndarray,
     w: np.ndarray,
 ) -> None:
     """Push one level's subtree weights up to the chosen parents."""
-    n = w.shape[1]
-    nb = node_b.astype(np.int64)
-    parents = choice[nb, nodes].astype(np.int64)
-    vals = w[nb, nodes] + node_weights[nodes]
-    w += np.bincount(
-        nb * n + parents, weights=vals, minlength=w.size
-    ).reshape(w.shape)
+    w_flat = w.reshape(-1)
+    parents = choice.reshape(-1).take(node_flat)
+    vals = w_flat.take(node_flat) + node_weights.take(nodes)
+    w_flat += np.bincount(
+        node_flat - nodes + parents, weights=vals, minlength=w.size
+    )
 
 
 def fixpoint_sweep(

@@ -85,14 +85,14 @@ class CompiledGraph:
         )
 
 
+def segment_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Flat int64 positions of the segments ``[starts[i], starts[i] + lengths[i])``."""
+    offsets = np.cumsum(lengths) - lengths
+    total = int(lengths.sum())
+    return np.repeat(starts - offsets, lengths) + np.arange(total, dtype=np.int64)
+
+
 def gather_neighbors(indptr: np.ndarray, idx: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Concatenate ``idx[indptr[v]:indptr[v+1]]`` for every ``v`` in ``nodes``."""
-    counts = (indptr[nodes + 1] - indptr[nodes]).astype(np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        return idx[0:0]
-    starts = indptr[nodes].astype(np.int64)
-    base = np.repeat(starts, counts)
-    cum = np.cumsum(counts) - counts
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(cum, counts)
-    return idx[base + offsets]
+    starts = indptr[nodes]
+    return idx[segment_positions(starts, indptr[nodes + 1] - starts)]

@@ -91,6 +91,27 @@ class TestStateDeriver:
         new = d.newly_secured_stubs(state, star_graph.index(1))
         assert new == [star_graph.index(11)]  # 10 already secure via 2
 
+    def test_newly_secured_stubs_from_a_given_secure_vector(self, small_graph):
+        """Passing the state's derived vector gives the same stubs in the
+        same order as deriving it inside the call."""
+        d = StateDeriver(small_graph)
+        isps = np.flatnonzero(d.is_isp)
+        rng = np.random.default_rng(3)
+        states = [DeploymentState(frozenset(), frozenset())] + [
+            DeploymentState.initial(
+                rng.choice(small_graph.n, size=size, replace=False).tolist()
+            )
+            for size in (1, 5, 20, small_graph.n // 2)
+        ]
+        compared = 0
+        for state in states:
+            secure = d.node_secure(state)
+            for isp in isps:
+                want = d.newly_secured_stubs(state, int(isp))
+                assert d.newly_secured_stubs(state, int(isp), secure) == want
+                compared += len(want)
+        assert compared  # some ISP had stubs left to secure
+
     def test_orphaned_stubs(self, star_graph):
         d = StateDeriver(star_graph)
         i1, i2 = star_graph.index(1), star_graph.index(2)

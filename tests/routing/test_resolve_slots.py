@@ -4,11 +4,13 @@
 list in one ``trees_slots`` / ``weights_slots`` call on the loop tiers
 (``python``, the loop body numba compiles, and every compiled tier),
 walking each destination's own arena segments.  numpy keeps the stacked
-level-major path and is the ground truth: ``choice``, ``secure``,
-``any_secure`` and the subtree weights must agree byte for byte, for
-any slot list (empty, single, unsorted, repeated, full) and every
-policy.  The cext wrapper must refuse what its C code would read out of
-bounds.
+level-major path, fed by one plan per call, and is the ground truth:
+``choice``, ``secure``, ``any_secure`` and the subtree weights must
+agree byte for byte, for any slot list (empty, single, unsorted,
+repeated, strided, a permutation of every slot, full) and every policy.
+The numpy plan itself is checked for shape, and its chunked round
+output against the one-pass output.  The cext wrapper must refuse what
+its C code would read out of bounds.
 """
 
 from __future__ import annotations
@@ -118,6 +120,9 @@ SLOT_LISTS = {
     "single": [4],
     "unsorted": [11, 2, 27, 0, 9],
     "repeated": [3, 3, 17, 3, 0, 17],
+    "strided": list(range(1, 29, 4)),
+    # every slot, out of order: the plan's subset path, not the full set
+    "permutation": [(7 * k + 3) % 29 for k in range(29)],
     "full": list(range(29)),
 }
 
@@ -191,6 +196,74 @@ def test_generated_graphs_bit_identical(backend, case, policy, data):
         want = _resolve(ref, chosen, secure, breaks, weights)
         got = _resolve(alt, chosen, secure, breaks, weights)
         assert got == want, (policy, chosen.tolist())
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_chunked_round_kernels_equal_one_pass(small_graph, policy):
+    """The degraded round (chunks of the slot vector) stitches the same
+    bytes as one pass over every slot."""
+    from repro.core.engine import _chunked_round_kernels
+
+    dests = list(range(0, small_graph.n, 7))
+    secure, breaks, weights = _state(small_graph.n)
+    arena, _ = _arenas(small_graph, policy, dests, "python", secure, breaks)
+    slots = arena.all_slots()
+    want = _resolve(arena, slots, secure, breaks, weights)
+    for rows in (1, 4, 7, 28):
+        bt, w = _chunked_round_kernels(arena, slots, secure, breaks, weights, rows)
+        got = {
+            "choice": bt.choice.tobytes(),
+            "secure": bt.secure.tobytes(),
+            "any_secure": bt.any_secure.tobytes(),
+            "weights": w.tobytes(),
+        }
+        assert got == want, (policy, rows)
+
+
+@pytest.mark.parametrize("shape", sorted(SLOT_LISTS))
+def test_numpy_plan_addresses_its_batch_rows(small_graph, shape):
+    """Every level of a plan: flat indices fall in the node's batch row,
+    ``starts`` and ``row_of_edge`` describe the same segments, and the
+    candidates sit one path-length level above their node."""
+    dests = list(range(0, small_graph.n, 7))
+    secure, breaks, _ = _state(small_graph.n)
+    arena, _ = _arenas(small_graph, "security_3rd", dests, "python", secure, breaks)
+    slots = np.asarray(SLOT_LISTS[shape], dtype=np.int64)
+    n = arena.graph_n
+    plan = arena._plan(slots)
+    assert sum(len(level[0]) for level in plan) == sum(
+        int(arena.order_ptr[k + 1] - arena.order_ptr[k]) - 1 for k in slots
+    )
+    for nodes, node_flat, starts, row_of_edge, keys, edge_flat in plan:
+        rows = node_flat // n
+        assert (node_flat % n == nodes).all()
+        assert ((0 <= rows) & (rows < len(slots))).all()
+        sizes = np.diff(np.append(starts, len(edge_flat)))
+        assert starts[0] == 0 and (sizes > 0).all()
+        assert (row_of_edge == np.repeat(np.arange(len(nodes)), sizes)).all()
+        assert (edge_flat // n == rows[row_of_edge]).all()
+        assert len(keys) == len(edge_flat)
+        lengths = arena.lengths[slots[rows], nodes]
+        cand_lengths = arena.lengths[slots[rows[row_of_edge]], edge_flat % n]
+        assert (cand_lengths == lengths[row_of_edge] - 1).all()
+    nodes_only = arena._plan(slots, edges=False)
+    assert [len(level) for level in nodes_only] == [2] * len(plan)
+    for full, short in zip(plan, nodes_only):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(full[:2], short))
+
+
+def test_numpy_mirror_is_no_larger_than_the_per_level_layout(small_graph):
+    """The mirror holds 20 bytes per stacked node and per stacked edge
+    plus two offset tables, less than the per-level slices it replaced
+    (24 per node, 20 per edge, the same tables)."""
+    dests = list(range(0, small_graph.n, 7))
+    secure, breaks, _ = _state(small_graph.n)
+    arena, _ = _arenas(small_graph, "security_3rd", dests, "python", secure, breaks)
+    mirror = arena._level_major()
+    nodes, edges = len(mirror.nodes), len(mirror.keys)
+    tables = 2 * 8 * (arena.num_dests + 1) * mirror.num_levels
+    assert mirror.nbytes == 20 * nodes + 20 * edges + tables
+    assert mirror.nbytes < 24 * nodes + 20 * edges + tables
 
 
 class TestCextWrapper:

@@ -218,6 +218,28 @@ class TestArenaEstimate:
         assert estimate >= arena.nbytes
         assert estimate <= 10 * arena.nbytes
 
+    def test_loop_tier_forecast_leaves_out_the_numpy_mirror(self):
+        """Only numpy builds the level-major mirror, so a cext arena
+        forecasts less than a numpy one, and still bounds what is built."""
+        from repro.experiments.setup import build_environment
+        from repro.routing import backends as kernel_backends
+        from repro.routing.errors import BackendUnavailable
+
+        try:
+            kernel_backends.load_backend("cext")
+        except BackendUnavailable:
+            pytest.skip("cext backend unusable here")
+        env = build_environment(n=150, seed=13, x=0.10, warm=True, backend="cext")
+        arena = env.cache.ensure_arena()
+        assert arena.backend == "cext"
+        num = arena.num_dests
+        cext = RoutingArena.estimate_bytes(num, env.graph.n, backend="cext")
+        numpy = RoutingArena.estimate_bytes(num, env.graph.n, backend="numpy")
+        assert arena.nbytes <= cext < numpy
+        # the numpy forecast covers the arena plus the mirror it builds
+        mirror = arena._level_major()
+        assert numpy >= arena.nbytes + mirror.nbytes
+
     def test_estimate_scales_linearly_in_dests(self):
         one = RoutingArena.estimate_bytes(100, 1000)
         two = RoutingArena.estimate_bytes(200, 1000)
